@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
   }
   PrintBanner(std::cout,
               "Fig 8: query cost vs symmetrized KL divergence, SRW vs MTO");
-  Table table({"dataset", "sampler", "samples", "query cost", "sym. KL"});
+  Table table({"dataset", "program", "samples", "query cost", "sym. KL"});
   for (const char* name :
        {"epinions_small", "slashdot_a_small", "slashdot_b_small"}) {
     SocialNetwork net(MakeDataset(name));
-    for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+    for (const char* kind : {"srw", "mto"}) {
       WalkRunConfig config;
       config.kind = kind;
       config.num_samples = samples;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       config.geweke_threshold = 0.1;
       config.max_burn_in_steps = 20000;
       KlRunResult result = RunKlExperiment(net, config, 0xF18000);
-      table.AddRow({name, SamplerName(kind),
+      table.AddRow({name, kind,
                     std::to_string(result.num_samples),
                     std::to_string(result.query_cost),
                     Table::Num(result.symmetrized_kl, 4)});

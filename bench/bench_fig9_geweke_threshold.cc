@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     double kl[2];
     uint64_t qc[2];
     int i = 0;
-    for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+    for (const char* kind : {"srw", "mto"}) {
       WalkRunConfig config;
       config.kind = kind;
       config.num_samples = samples;

@@ -1,6 +1,6 @@
 // Crawl-runtime throughput: walkers x threads x batch-size sweep over the
-// concurrent scheduler (src/runtime), against the single-threaded
-// round-robin pool (walk/ParallelWalkers) as baseline.
+// concurrent scheduler (src/runtime), against a single-threaded
+// round-robin loop over the plain interface as baseline.
 //
 // Two regimes, two tables:
 //  * CPU-bound (zero latency): free-running sharded walkers; the metric is
@@ -42,7 +42,6 @@
 #include "src/runtime/crawl_scheduler.h"
 #include "src/service/backend_pool.h"
 #include "src/util/table.h"
-#include "src/walk/parallel_walkers.h"
 #include "src/walk/srw.h"
 #include "src/walk/walk_program.h"
 
@@ -103,44 +102,6 @@ std::unique_ptr<Sampler> MakeWalker(RestrictedInterface& iface, Rng& rng,
       iface, rng, static_cast<NodeId>(i % iface.num_users()));
 }
 
-/// The pre-QueryRef stepping path: identical RNG draws and trajectory to
-/// SimpleRandomWalk, but every step materializes QueryResult copies through
-/// `Query` (one neighbor-vector allocation per request, even on cache
-/// hits). Kept here to measure what the span-returning read path buys.
-class CopyingRandomWalk final : public Sampler {
- public:
-  CopyingRandomWalk(RestrictedInterface& iface, Rng& rng, NodeId start)
-      : Sampler(iface, rng, start) {}
-
-  NodeId Step() override {
-    auto r = interface().Query(current());
-    if (!r || r->neighbors.empty()) return current();
-    const NodeId target = r->neighbors[static_cast<size_t>(
-        rng().UniformInt(r->neighbors.size()))];
-    if (interface().Query(target)) set_current(target);
-    return current();
-  }
-
-  double CurrentDegreeForDiagnostic() override {
-    auto r = interface().Query(current());
-    return r ? static_cast<double>(r->degree()) : 0.0;
-  }
-
-  double ImportanceWeight() override {
-    auto r = interface().Query(current());
-    if (!r || r->degree() == 0) return 0.0;
-    return 1.0 / static_cast<double>(r->degree());
-  }
-
-  std::string name() const override { return "SRW-copy"; }
-};
-
-std::unique_ptr<Sampler> MakeCopyingWalker(RestrictedInterface& iface,
-                                           Rng& rng, size_t i) {
-  return std::make_unique<CopyingRandomWalk>(
-      iface, rng, static_cast<NodeId>(i % iface.num_users()));
-}
-
 std::unique_ptr<Sampler> MakeMtoWalker(RestrictedInterface& iface, Rng& rng,
                                        size_t i) {
   return std::make_unique<MtoSampler>(
@@ -169,14 +130,15 @@ Row RunBaseline(const SocialNetwork& net, size_t walkers, size_t rounds,
   iface.SetSimulatedLatency(latency);
   Rng parent(kSeed);
   std::vector<std::unique_ptr<Rng>> rngs;
-  std::vector<std::unique_ptr<Sampler>> pool_walkers;
+  std::vector<std::unique_ptr<Sampler>> round_robin;
   for (size_t i = 0; i < walkers; ++i) {
     rngs.push_back(std::make_unique<Rng>(parent.Fork(i)));
-    pool_walkers.push_back(MakeWalker(iface, *rngs.back(), i));
+    round_robin.push_back(MakeWalker(iface, *rngs.back(), i));
   }
-  ParallelWalkers pool(std::move(pool_walkers));
   const auto start = std::chrono::steady_clock::now();
-  for (size_t r = 0; r < rounds; ++r) pool.StepAll();
+  for (size_t r = 0; r < rounds; ++r) {
+    for (auto& walker : round_robin) walker->Step();
+  }
   const auto end = std::chrono::steady_clock::now();
 
   Row row;
@@ -192,7 +154,9 @@ Row RunBaseline(const SocialNetwork& net, size_t walkers, size_t rounds,
       static_cast<double>(walkers * rounds) / (row.wall_ms / 1000.0);
   row.unique_queries = iface.QueryCost();
   row.backend_requests = iface.BackendRequests();
-  row.positions = pool.Positions();
+  for (const auto& walker : round_robin) {
+    row.positions.push_back(walker->current());
+  }
   return row;
 }
 
@@ -287,8 +251,8 @@ Row RunScheduler(const SocialNetwork& net, size_t walkers, size_t threads,
 /// keys under kSharded selection, every round trip costing `latency` of
 /// real wall time. The sync mode serializes the coalesced frontier's trips
 /// under the ledger lock; the async mode plans them there but pays each
-/// backend's trips on its own completion-queue worker, so distinct
-/// backends overlap — the tentpole effect this section measures.
+/// backend's trips on its own lane, so distinct backends overlap — the
+/// effect this section measures.
 Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
                     size_t rounds, std::chrono::microseconds latency,
                     size_t batch, size_t num_backends, FetchMode fetch_mode,
@@ -485,13 +449,6 @@ int main(int argc, char** argv) {
     cpu_rows.push_back(
         RunScheduler(net, walkers, threads, rounds, kNoLatency, 0));
   }
-  // Hot-path ablation: the legacy copying read path (Query materializes a
-  // QueryResult per step) vs the default span-returning QueryRef path. Same
-  // trajectories, same cost — the delta is pure allocation overhead.
-  for (size_t threads : {1u, 8u}) {
-    cpu_rows.push_back(RunScheduler(net, walkers, threads, rounds, kNoLatency,
-                                    0, MakeCopyingWalker, "free-run-copy"));
-  }
   PrintSection("CPU-bound (no simulated latency)", cpu_rows, cpu_base);
 
   // --- Latency-bound: 200us per backend round trip. ---
@@ -526,9 +483,9 @@ int main(int argc, char** argv) {
   PrintSection("MTO speculative stepping (200us per backend round trip)",
                mto_rows, mto_rows.front());
 
-  // --- Multi-backend: the async fetch tentpole. Coalesced frontier over
+  // --- Multi-backend: async fetch overlap. Coalesced frontier over
   // N perfect keys (sharded selection) at 200us per round trip; sync
-  // serializes trips, async overlaps the per-backend channels, so the
+  // serializes trips, async overlaps the per-backend lanes, so the
   // async-4b rows should approach 4x the sync-4b ones while staying
   // bit-identical in positions and cost.
   const size_t mb_rounds = std::max<size_t>(1, rounds / 40);

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const std::string scenario_json = R"({
     "dataset": "epinions_small",
     "seed": 7,
-    "sampler": "srw",
+    "program": {"name": "srw"},
     "attribute": "degree",
     "walkers": 16,
     "threads": 4,
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     "max_burn_in_rounds": 600,
     "num_samples": 96,
     "thinning": 10,
-    "strategy": "sharded",
+    "routing": "sharded",
     "fault_seed": 1337,
     "retry": {"max_attempts_per_backend": 8, "base_backoff_us": 1000,
               "multiplier": 2.0, "max_backoff_us": 64000, "jitter": 0.5},

@@ -18,11 +18,10 @@ RestrictedInterface::RestrictedInterface(const SocialNetwork& network)
     : network_(&network), cached_(network.num_users(), false) {}
 
 std::optional<DeferredFetch> RestrictedInterface::PlanFetchMisses(
-    std::span<const NodeId> misses, std::chrono::microseconds per_trip_latency) {
+    std::span<const NodeId> misses) {
   // The paper's one-perfect-backend model has a single serial channel:
   // there is nothing to overlap, so the sync path is already optimal.
   (void)misses;
-  (void)per_trip_latency;
   return std::nullopt;
 }
 

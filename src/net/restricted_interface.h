@@ -17,9 +17,10 @@ namespace mto {
 ///    under the wrapper's ledger lock (the pre-async execution model).
 ///  * kAsync — miss groups are planned synchronously (routing, budget,
 ///    cache, cost — the deterministic part) and their per-backend ledger
-///    and latency work is executed concurrently, so misses served by
-///    different backends overlap in real time. Results are bit-identical
-///    to kSync by construction (the plan is shared; see PlanFetchMisses).
+///    and latency work runs on per-backend FIFO lanes, joined before the
+///    call returns, so misses served by different backends overlap in real
+///    time. Results are bit-identical to kSync by construction (the plan is
+///    shared; see PlanFetchMisses).
 enum class FetchMode { kSync, kAsync };
 
 const char* FetchModeName(FetchMode mode);
@@ -28,18 +29,18 @@ const char* FetchModeName(FetchMode mode);
 /// `PlanFetchMisses`. The plan itself already ran on the calling thread:
 /// per-node outcomes are decided, successful nodes are cached, and every
 /// cost counter the routing logic reads is updated. What remains is the
-/// deferred work in `apply_tasks`: per-backend ledger bookkeeping plus the
-/// real-time latency of the round trips, one task per backend touched.
-/// Tasks are independent of each other and touch disjoint ledgers; run
-/// them on any threads (concurrently for round-trip overlap) and the fetch
-/// is complete once all of them returned.
+/// deferred work in `apply_tasks`: per-backend ledger bookkeeping, one task
+/// per backend touched. Tasks are independent of each other and touch
+/// disjoint ledgers; run them on any threads and the fetch is complete once
+/// all of them returned. The real-time latency of the round trips is the
+/// runner's to pay (see runtime/ConcurrentInterfaceCache's lanes).
 struct DeferredFetch {
   std::vector<std::function<void()>> apply_tasks;
   /// Parallel to `apply_tasks`: the backend each task's ledger belongs to,
-  /// and how many real round trips (non-refusal ops) it applies. The
-  /// pipelined engine uses these to route tasks onto per-backend channels
-  /// and to discount round trips already prepaid by prefetch tickets
-  /// (DESIGN.md §10). A one-backend planner may leave them empty.
+  /// and how many real round trips (non-refusal ops) it applies. The lane
+  /// engine uses these to route tasks onto per-backend lanes, to price
+  /// their wall time, and to discount round trips already prepaid by
+  /// prefetch tickets (DESIGN.md §10).
   std::vector<uint32_t> task_backend;
   std::vector<uint32_t> task_trips;
   /// Parallel to the planned miss span: 1 iff that node was fetched (it is
@@ -205,16 +206,14 @@ class RestrictedInterface {
   virtual void SetMaxBatchSize(size_t max_batch_size);
   virtual size_t max_batch_size() const { return max_batch_size_; }
 
-  /// Two-phase fetch for concurrent wrappers (the async path): plans the
+  /// Two-phase fetch for concurrent wrappers (the lane engine): plans the
   /// fetch of `misses` synchronously — routing, budget checks, fault-draw
   /// outcomes, cache marking, and unique-cost accounting all happen before
   /// this returns, exactly as the sync path would decide them — and defers
-  /// only per-backend ledger/latency work into the returned tasks. Each
-  /// deferred task sleeps `per_trip_latency` once per backend round trip it
-  /// applies, so running the tasks concurrently overlaps the round trips of
-  /// different backends. Returns std::nullopt when the interface has no
-  /// async-capable backend model (the base class: one perfect backend with
-  /// nothing to overlap); callers then fall back to the sync path.
+  /// only per-backend ledger work into the returned tasks. Returns
+  /// std::nullopt when the interface has no async-capable backend model
+  /// (the base class: one perfect backend with nothing to overlap); callers
+  /// then fall back to the sync path.
   ///
   /// Caller contract: `misses` must be valid, distinct, uncached ids; the
   /// call must be externally serialized with every other query-path entry
@@ -222,8 +221,7 @@ class RestrictedInterface {
   /// must all be run before the next checkpoint/stat read reaches the
   /// backend ledgers.
   virtual std::optional<DeferredFetch> PlanFetchMisses(
-      std::span<const NodeId> misses,
-      std::chrono::microseconds per_trip_latency);
+      std::span<const NodeId> misses);
 
   /// Pure routing preview for pipelined prefetching (DESIGN.md §10): for
   /// each id, the backend index its first real fetch attempt would be

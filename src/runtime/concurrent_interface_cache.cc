@@ -73,33 +73,26 @@ ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
   base.SetSimulatedLatency(std::chrono::microseconds(0));
 }
 
-void ConcurrentInterfaceCache::SetFetchMode(FetchMode mode,
-                                            size_t fetch_threads) {
+void ConcurrentInterfaceCache::SetFetchMode(FetchMode mode, size_t lanes) {
   fetch_mode_ = mode;
-  if (mode == FetchMode::kAsync) {
-    const size_t threads =
-        std::min(kMaxFetchThreads,
-                 fetch_threads == 0 ? kMaxFetchThreads : fetch_threads);
-    if (fetch_queue_ == nullptr || fetch_queue_->size() != threads) {
-      fetch_queue_ = std::make_unique<TaskQueue>(threads);
-    }
-  } else {
-    fetch_queue_.reset();
-  }
+  ConfigureLanes(lanes);
 }
 
-void ConcurrentInterfaceCache::SetPipelineDepth(size_t depth,
-                                                size_t channels) {
-  if (channels_ != nullptr) DrainPipeline();
+void ConcurrentInterfaceCache::SetPipelineDepth(size_t depth, size_t lanes) {
   pipeline_depth_ = depth;
-  if (depth == 0) {
+  ConfigureLanes(lanes);
+}
+
+void ConcurrentInterfaceCache::ConfigureLanes(size_t lanes) {
+  DrainPipeline();
+  if (fetch_mode_ != FetchMode::kAsync && pipeline_depth_ == 0) {
     channels_.reset();
     return;
   }
-  const size_t lanes =
-      std::min(kMaxFetchThreads, channels == 0 ? kMaxFetchThreads : channels);
-  if (channels_ == nullptr || channels_->size() != lanes) {
-    channels_ = std::make_unique<SerialChannels>(lanes);
+  const size_t count =
+      std::min(kMaxFetchThreads, lanes == 0 ? kMaxFetchThreads : lanes);
+  if (channels_ == nullptr || channels_->size() != count) {
+    channels_ = std::make_unique<SerialChannels>(count);
     channels_->SetObservability(registry_, trace_);
   }
 }
@@ -411,24 +404,76 @@ void ConcurrentInterfaceCache::CancelTicket(PrefetchTicket& ticket) {
   ticket.cv.notify_all();
 }
 
-void ConcurrentInterfaceCache::PostApplyTask(std::function<void()> task,
-                                             uint32_t backend, uint32_t trips,
-                                             uint32_t prepaid,
-                                             std::function<void()> on_done) {
+std::optional<std::vector<uint8_t>> ConcurrentInterfaceCache::LaneFetch(
+    std::span<const NodeId> misses, bool inline_wire, bool join) {
+  std::optional<DeferredFetch> deferred;
+  SerialChannels::Marker posted;
   const auto rtt = simulated_latency();
-  channels_->Post(backend % channels_->size(),
-                  [task = std::move(task), trips, prepaid, rtt,
-                   on_done = std::move(on_done)] {
-                    task();  // pure ledger math — the plan carried 0 latency
-                    // The wall-clock price of this backend's round trips,
-                    // minus the trips its prefetch tickets already slept on
-                    // this same FIFO lane (total lane busy time is
-                    // conserved: prepaid trips merely started earlier).
-                    if (rtt.count() > 0 && trips > prepaid) {
-                      std::this_thread::sleep_for(rtt * (trips - prepaid));
-                    }
-                    if (on_done) on_done();
-                  });
+  uint64_t wire_trips = 0;
+  {
+    std::lock_guard<std::mutex> lock(base_mutex_);
+    // The plan runs at normal time, in miss order — the exact state
+    // mutations (routing counters, cache marks, cost) the sync path would
+    // make. Only the ledger/latency tail is deferred to the lanes.
+    deferred = base_->PlanFetchMisses(misses);
+    if (!deferred) return std::nullopt;
+    // Speculation validation: a consumed ticket prepays one round trip on
+    // its lane iff it predicted the node's actual first-request backend; a
+    // mispredicted (or never-requested) node's ticket is cancelled so the
+    // wrong lane frees early. Both outcomes are wall-clock-only.
+    std::unordered_map<uint32_t, uint32_t> prepaid;
+    for (size_t i = 0; i < misses.size() && !tickets_.empty(); ++i) {
+      auto it = tickets_.find(misses[i]);
+      if (it == tickets_.end()) continue;
+      const std::shared_ptr<PrefetchTicket> ticket = std::move(it->second);
+      tickets_.erase(it);
+      ObsAdd(metrics_.prefetch_consumed);
+      const uint32_t actual = i < deferred->first_backend.size()
+                                  ? deferred->first_backend[i]
+                                  : UINT32_MAX;
+      if (actual != UINT32_MAX && ticket->backend == actual) {
+        ++prepaid[actual];
+      } else {
+        ObsAdd(metrics_.prefetch_mispredicted);
+        CancelTicket(*ticket);
+      }
+    }
+    // Posting under the ledger mutex keeps every lane's tasks in plan
+    // order, the order the sync path applies the same ledger ops in.
+    for (size_t t = 0; t < deferred->apply_tasks.size(); ++t) {
+      const uint32_t b = deferred->task_backend[t];
+      const uint32_t trips = deferred->task_trips[t];
+      uint32_t pre = 0;
+      auto it = prepaid.find(b);
+      if (it != prepaid.end()) {
+        pre = std::min(it->second, trips);
+        it->second -= pre;
+      }
+      // Lane busy time is conserved: trips a matching ticket already slept
+      // on this lane are not slept again, and an inline-wire caller sleeps
+      // its trips on its own thread.
+      uint32_t lane_trips = trips - pre;
+      if (inline_wire) {
+        wire_trips += lane_trips;
+        lane_trips = 0;
+      }
+      channels_->Post(b % channels_->size(),
+                      [task = std::move(deferred->apply_tasks[t]), lane_trips,
+                       rtt] {
+                        task();  // pure ledger math: the plan has no latency
+                        if (rtt.count() > 0 && lane_trips > 0) {
+                          std::this_thread::sleep_for(rtt * lane_trips);
+                        }
+                      });
+    }
+    if (join) posted = channels_->Mark();
+  }
+  if (rtt.count() > 0 && wire_trips > 0) {
+    std::this_thread::sleep_for(rtt * static_cast<int64_t>(wire_trips));
+  }
+  // The lag-0 join: everything posted up to this fetch's own tasks has run.
+  if (join) channels_->WaitUntil(posted);
+  return std::move(deferred->fetched);
 }
 
 void ConcurrentInterfaceCache::DrainPipeline() {
@@ -460,85 +505,27 @@ void ConcurrentInterfaceCache::PipelinedFetch(
     throw std::logic_error("PipelinedFetch: pipeline inactive");
   }
 
-  std::optional<DeferredFetch> deferred;
-  std::vector<std::shared_ptr<PrefetchTicket>> consumed(frontier.size());
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    // The plan runs at normal time, on the coordinator, in frontier order —
-    // the exact state mutations (routing counters, cache marks, cost) the
-    // sync path would make. Only the ledger/latency tail is deferred.
-    deferred = base_->PlanFetchMisses(frontier, std::chrono::microseconds(0));
-    if (deferred) {
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        auto it = tickets_.find(frontier[i]);
-        if (it != tickets_.end()) {
-          consumed[i] = std::move(it->second);
-          tickets_.erase(it);
-        }
-      }
-    }
-  }
-  if (!deferred) {
+  const auto fetched =
+      LaneFetch(frontier, /*inline_wire=*/false, /*join=*/false);
+  if (!fetched) {
     // No plannable backend model: sync-identical inline fallback (the
     // frontier is distinct and was uncached when the coordinator built it).
-    uint64_t trips = 0;
-    std::vector<std::optional<QueryResult>> backend;
-    {
-      std::lock_guard<std::mutex> lock(base_mutex_);
-      const uint64_t before = base_->BackendRequests();
-      backend = base_->BatchQuery(frontier);
-      trips = base_->BackendRequests() - before;
-    }
-    if (simulated_latency().count() > 0) {
-      std::this_thread::sleep_for(simulated_latency() *
-                                  static_cast<int64_t>(trips));
-    }
+    const std::vector<uint8_t> ok = SyncFetch(frontier);
     for (size_t i = 0; i < frontier.size(); ++i) {
-      if (backend[i].has_value()) {
+      if (ok[i] != 0) {
         cached_flags_[frontier[i]].store(1, std::memory_order_release);
       }
     }
     return;
-  }
-
-  // Speculation validation: a consumed ticket prepays one round trip on its
-  // lane iff it predicted the node's actual first-request backend; a
-  // mispredicted (or never-requested) node's ticket is cancelled so the
-  // wrong lane frees early. Both outcomes are wall-clock-only.
-  std::unordered_map<uint32_t, uint32_t> prepaid;
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    if (!consumed[i]) continue;
-    ObsAdd(metrics_.prefetch_consumed);
-    const uint32_t actual = i < deferred->first_backend.size()
-                                ? deferred->first_backend[i]
-                                : UINT32_MAX;
-    if (actual != UINT32_MAX && consumed[i]->backend == actual) {
-      ++prepaid[actual];
-    } else {
-      ObsAdd(metrics_.prefetch_mispredicted);
-      CancelTicket(*consumed[i]);
-    }
   }
   // Publish planned outcomes: the coordinator is the only query-path thread
   // during this phase (CrawlScheduler's barriers), so the claim machinery
   // is unnecessary — set the flags directly. Commits may now read these
   // nodes while their round trips are still in flight on the lanes.
   for (size_t i = 0; i < frontier.size(); ++i) {
-    if (deferred->fetched[i] != 0) {
+    if ((*fetched)[i] != 0) {
       cached_flags_[frontier[i]].store(1, std::memory_order_release);
     }
-  }
-  for (size_t t = 0; t < deferred->apply_tasks.size(); ++t) {
-    const uint32_t b = deferred->task_backend[t];
-    const uint32_t trips = deferred->task_trips[t];
-    uint32_t pre = 0;
-    auto it = prepaid.find(b);
-    if (it != prepaid.end()) {
-      pre = std::min(it->second, trips);
-      it->second -= pre;
-    }
-    PostApplyTask(std::move(deferred->apply_tasks[t]), b, trips, pre,
-                  nullptr);
   }
   // The lag-k join: at most pipeline_depth_ rounds of posted work may stay
   // in flight; wait out markers older than that. This bounds run-ahead and
@@ -616,56 +603,23 @@ void ConcurrentInterfaceCache::PostPrefetchHints(
   }
 }
 
-std::optional<bool> ConcurrentInterfaceCache::PipelinedQueryMiss(NodeId v) {
-  std::optional<DeferredFetch> deferred;
-  std::shared_ptr<PrefetchTicket> ticket;
+std::vector<uint8_t> ConcurrentInterfaceCache::SyncFetch(
+    std::span<const NodeId> misses) {
+  uint64_t trips = 0;
+  std::vector<std::optional<QueryResult>> backend;
   {
     std::lock_guard<std::mutex> lock(base_mutex_);
-    const NodeId miss[1] = {v};
-    deferred = base_->PlanFetchMisses(miss, std::chrono::microseconds(0));
-    if (deferred) {
-      auto it = tickets_.find(v);
-      if (it != tickets_.end()) {
-        ticket = std::move(it->second);
-        tickets_.erase(it);
-      }
-    }
+    const uint64_t before = base_->BackendRequests();
+    backend = base_->BatchQuery(misses);
+    trips = base_->BackendRequests() - before;
   }
-  if (!deferred) return std::nullopt;  // caller falls back to the sync path
-  uint32_t prepaid_backend = UINT32_MAX;
-  if (ticket) {
-    ObsAdd(metrics_.prefetch_consumed);
-    const uint32_t actual = deferred->first_backend.empty()
-                                ? UINT32_MAX
-                                : deferred->first_backend[0];
-    if (actual != UINT32_MAX && ticket->backend == actual) {
-      prepaid_backend = actual;
-    } else {
-      ObsAdd(metrics_.prefetch_mispredicted);
-      CancelTicket(*ticket);
-    }
+  if (simulated_latency().count() > 0) {
+    std::this_thread::sleep_for(simulated_latency() *
+                                static_cast<int64_t>(trips));
   }
-  // A demand miss is urgent: it rides its own connection instead of
-  // queueing behind the lanes' speculative backlog (which would turn a
-  // one-RTT stall into a multi-round one). The ledger apply still runs on
-  // the backend's lane — FIFO order with the in-flight frontier work is
-  // preserved — but with its lane sleep suppressed; the walker pays the
-  // wire time inline instead, exactly as the sync path would, minus one
-  // trip when a matching prefetch ticket is already sleeping it out.
-  uint64_t wire_trips = 0;
-  for (size_t t = 0; t < deferred->apply_tasks.size(); ++t) {
-    const uint32_t b = deferred->task_backend[t];
-    const uint32_t trips = deferred->task_trips[t];
-    const uint32_t pre = (b == prepaid_backend && trips > 0) ? 1u : 0u;
-    wire_trips += trips - pre;
-    PostApplyTask(std::move(deferred->apply_tasks[t]), b, trips,
-                  /*prepaid=*/trips, nullptr);
-  }
-  const auto rtt = simulated_latency();
-  if (rtt.count() > 0 && wire_trips > 0) {
-    std::this_thread::sleep_for(rtt * static_cast<int64_t>(wire_trips));
-  }
-  return deferred->fetched[0] != 0;
+  std::vector<uint8_t> ok(misses.size());
+  for (size_t i = 0; i < misses.size(); ++i) ok[i] = backend[i].has_value();
+  return ok;
 }
 
 bool ConcurrentInterfaceCache::IsCached(NodeId v) const {
@@ -784,31 +738,16 @@ std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
     return MakeResult(v);  // cached while we waited (a hit, derived)
   }
   ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
-  if (PipelineActive()) {
-    // Commit-phase misses while the pipeline is live: ledger applies keep
-    // lane FIFO order, but the wire time is paid inline on this thread —
-    // a demand fetch never waits out the speculative backlog.
-    if (auto fetched = PipelinedQueryMiss(v)) {
-      ResolveFetch(v, *fetched);
-      if (!*fetched) return std::nullopt;
-      return MakeResult(v);
-    }
-  }
-  if (AsyncActive()) {
-    std::optional<DeferredFetch> deferred;
-    {
-      std::lock_guard<std::mutex> lock(base_mutex_);
-      const NodeId miss[1] = {v};
-      deferred = base_->PlanFetchMisses(miss, simulated_latency());
-    }
-    if (deferred) {
-      // Apply on this walker's thread, holding nothing but our in-flight
-      // claim: the ledger work locks only its backend's shard and the
-      // round-trip sleep overlaps with other walkers' fetches to other
-      // backends. Walkers racing to `v` wait in ClaimFetch until
-      // ResolveFetch, i.e. until the response "arrived".
-      for (auto& task : deferred->apply_tasks) task();
-      const bool ok = deferred->fetched[0] != 0;
+  if (fetch_mode_ == FetchMode::kAsync || PipelineActive()) {
+    // Through the lanes. A single miss pays its wire time on this thread,
+    // as the sync path would: concurrent walkers' misses overlap, and a
+    // pipelined demand miss never waits out the lanes' speculative
+    // backlog. Async joins its ledger task, so the ledgers are current on
+    // return; the pipeline leaves it to the lag-k join.
+    const NodeId miss[1] = {v};
+    if (auto fetched = LaneFetch(miss, /*inline_wire=*/true,
+                                 /*join=*/!PipelineActive())) {
+      const bool ok = (*fetched)[0] != 0;
       ResolveFetch(v, ok);
       if (!ok) return std::nullopt;
       return MakeResult(v);
@@ -879,40 +818,18 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
   ObsRecord(metrics_.miss_batch, claimed.size());
 
   if (!claimed.empty()) {
-    std::optional<DeferredFetch> deferred;
-    if (AsyncActive()) {
-      std::lock_guard<std::mutex> lock(base_mutex_);
-      deferred = base_->PlanFetchMisses(claimed, simulated_latency());
+    // Async: one task per backend touched, each applying its own ledger's
+    // ops and sleeping its round trips on that backend's lane, so trips
+    // served by different lanes overlap in real time and this join costs
+    // the max over lanes instead of the sum (DESIGN.md §9).
+    std::optional<std::vector<uint8_t>> ok;
+    if (fetch_mode_ == FetchMode::kAsync) {
+      ok = LaneFetch(claimed, /*inline_wire=*/false, /*join=*/true);
     }
-    if (deferred) {
-      // One deferred task per backend touched: each applies its own
-      // ledger's ops and sleeps its own channel's round trips on a
-      // completion-queue worker, so trips served by *different* backends
-      // overlap in real time and this join costs the max over backends
-      // instead of the sum — the async tentpole (DESIGN.md §9).
-      fetch_queue_->Dispatch(std::move(deferred->apply_tasks));
-      for (size_t i = 0; i < claimed.size(); ++i) {
-        const bool ok = deferred->fetched[i] != 0;
-        ResolveFetch(claimed[i], ok);
-        if (ok) fetched[claimed[i]] = MakeResult(claimed[i]);
-      }
-    } else {
-      uint64_t trips = 0;
-      std::vector<std::optional<QueryResult>> backend;
-      {
-        std::lock_guard<std::mutex> lock(base_mutex_);
-        const uint64_t before = base_->BackendRequests();
-        backend = base_->BatchQuery(claimed);
-        trips = base_->BackendRequests() - before;
-      }
-      if (simulated_latency().count() > 0) {
-        std::this_thread::sleep_for(simulated_latency() *
-                                    static_cast<int64_t>(trips));
-      }
-      for (size_t i = 0; i < claimed.size(); ++i) {
-        ResolveFetch(claimed[i], backend[i].has_value());
-        fetched[claimed[i]] = std::move(backend[i]);
-      }
+    if (!ok) ok = SyncFetch(claimed);
+    for (size_t i = 0; i < claimed.size(); ++i) {
+      ResolveFetch(claimed[i], (*ok)[i] != 0);
+      if ((*ok)[i] != 0) fetched[claimed[i]] = MakeResult(claimed[i]);
     }
   }
   for (NodeId v : busy) {

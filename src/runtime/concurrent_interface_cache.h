@@ -19,7 +19,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/serial_channels.h"
-#include "src/util/task_queue.h"
 
 namespace mto {
 
@@ -45,28 +44,31 @@ namespace mto {
 ///  * **Async fetch overlap (`SetFetchMode(kAsync)`).** When the wrapped
 ///    session supports two-phase fetches (a service/BackendPool), a miss
 ///    group is only *planned* under the ledger mutex — routing, budget,
-///    outcomes, cost — and the per-backend ledger/latency work runs outside
-///    it: a single miss applies on the calling walker's thread, a batched
-///    frontier dispatches one task per backend to a small completion queue
-///    and blocks on the join. Round trips served by different backends
-///    overlap in real time; results stay bit-identical to kSync because
-///    sync and async share the plan (see DESIGN.md §9).
+///    outcomes, cost — and each backend's ledger/latency task is posted, in
+///    plan order, to that backend's FIFO lane (util/SerialChannels, lane
+///    `b % lanes`), which then sleeps the backend's round trips. The caller
+///    blocks until the lanes ran its tasks (a lag-0 marker join), so
+///    ledgers are current when Query/BatchQuery return. Round trips served by different lanes
+///    overlap in real time; a single miss pays its wire time on the
+///    calling walker's thread, overlapping other walkers' misses as the
+///    sync path does. Results stay bit-identical to kSync because sync and
+///    async share the plan (see DESIGN.md §9).
 ///  * **Pipelined rounds (`SetPipelineDepth(k)`, k >= 1).** The async path
 ///    still joins every frontier before the round continues, so round R+1
 ///    waits on round R's slowest backend. The pipelined engine drops that
 ///    join: `PipelinedFetch` plans the frontier exactly like sync/async
-///    (same coordinator thread, same order, identical state mutations) but
-///    posts the per-backend ledger/latency tasks onto per-backend FIFO
-///    channels (util/SerialChannels) and returns immediately — commits read
-///    the planned outcomes from the cache while the round trips are still
-///    "in flight" as wall time on the channels. A lag-k join bounds
-///    run-ahead: before round R's tasks are posted, round R-k must have
-///    drained. `PostPrefetchHints` turns sampler peeks into wall-clock-only
-///    prefetch *tickets* — a ticket occupies its predicted backend's
-///    channel for one RTT and lets the real fetch's apply task discount one
-///    prepaid trip; a wrong or stale prediction is cancelled. Tickets never
-///    touch ledger, cache, or cost state, so samples/trace/estimate/ledgers
-///    stay bitwise equal to sync mode by construction (DESIGN.md §10).
+///    (same coordinator thread, same order, identical state mutations) and
+///    posts the same per-backend tasks onto the same lanes, but returns
+///    immediately — commits read the planned outcomes from the cache while
+///    the round trips are still "in flight" as wall time on the lanes. A
+///    lag-k join bounds run-ahead: before round R's tasks are posted, round
+///    R-k must have drained. `PostPrefetchHints` turns sampler peeks into
+///    wall-clock-only prefetch *tickets* — a ticket occupies its predicted
+///    backend's lane for one RTT and lets the real fetch's apply task
+///    discount one prepaid trip; a wrong or stale prediction is cancelled.
+///    Tickets never touch ledger, cache, or cost state, so
+///    samples/trace/estimate/ledgers stay bitwise equal to sync mode by
+///    construction (DESIGN.md §10).
 ///  * **Spillable block tier (`ConfigureBlocks`).** For block-major
 ///    scheduling (DESIGN.md §14) the per-node flag grows a third state:
 ///    0 = uncached, 1 = cached + resident, 2 = cached but spilled to an
@@ -94,27 +96,27 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// `base` is honored (its flags are imported).
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
 
-  /// Selects the miss-fetch execution mode. kAsync spawns a completion
-  /// queue of `fetch_threads` workers used to join batched frontier
-  /// fetches; 0 falls back to kMaxFetchThreads — the cache cannot see the
-  /// backend fleet, so callers that can (CrawlService sizes one worker
-  /// per backend) should pass the real channel count. kAsync silently
-  /// behaves like kSync when the wrapped session has no async-capable
-  /// backend model. Call between rounds only.
-  void SetFetchMode(FetchMode mode, size_t fetch_threads = 0);
+  /// Selects the miss-fetch execution mode. kAsync runs miss fetches on
+  /// `lanes` per-backend FIFO lanes (0 falls back to kMaxFetchThreads; the
+  /// cache cannot see the backend fleet, so callers that can — CrawlService
+  /// sizes one lane per backend — should pass the real count; backend b
+  /// rides lane `b % lanes`). kAsync silently behaves like kSync when the
+  /// wrapped session has no async-capable backend model. Call between
+  /// rounds only.
+  void SetFetchMode(FetchMode mode, size_t lanes = 0);
   FetchMode fetch_mode() const { return fetch_mode_; }
 
-  /// Upper bound on async fetch workers (backend channels worth of
-  /// overlap; more would only contend on the ledger shards).
+  /// Upper bound on lanes (backend channels worth of overlap; more would
+  /// only contend on the ledger shards).
   static constexpr size_t kMaxFetchThreads = 16;
 
   /// Enables (depth >= 1) or disables (depth == 0) the pipelined engine:
   /// `depth` rounds of deferred per-backend work may be in flight behind
   /// the crawl (the lag-k join), and samplers are asked for up to `depth`
-  /// prefetch candidates per walker. `channels` sizes the per-backend FIFO
-  /// lane set (0 falls back to kMaxFetchThreads; pass the backend count).
-  /// Drains any active pipeline first. Call between rounds only.
-  void SetPipelineDepth(size_t depth, size_t channels = 0);
+  /// prefetch candidates per walker. `lanes` sizes the lane set exactly as
+  /// in SetFetchMode (async and pipelined share one lane set). Drains any
+  /// active pipeline first. Call between rounds only.
+  void SetPipelineDepth(size_t depth, size_t lanes = 0);
   size_t pipeline_depth() const { return pipeline_depth_; }
 
   /// True iff PipelinedFetch/PostPrefetchHints are live.
@@ -125,7 +127,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Pipelined replacement for the coordinator's frontier BatchQuery
   /// (CrawlScheduler only): plans the whole frontier under the ledger mutex
   /// — consuming matching prefetch tickets — marks planned-fetched nodes
-  /// cached, posts each backend's ledger/latency task to its channel, and
+  /// cached, posts each backend's ledger/latency task to its lane, and
   /// returns without joining. Requires PipelineActive(); must be called
   /// from a single coordinator thread with no concurrent query-path calls
   /// (CrawlScheduler's phase barriers guarantee this). Falls back to
@@ -135,15 +137,15 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Publishes the next round's predicted targets as prefetch tickets:
   /// routes each valid, uncached, deduplicated prediction via the wrapped
   /// session's PlanPrefetch and posts a one-RTT wall-clock ticket on the
-  /// predicted backend's channel. First cancels every ticket left from the
+  /// predicted backend's lane. First cancels every ticket left from the
   /// previous prediction window (the deterministic stale-invalidation
   /// point). Tickets mutate no session state whatsoever. Coordinator-only,
   /// like PipelinedFetch; a no-op when the session cannot preview routes.
   void PostPrefetchHints(std::span<const NodeId> predicted);
 
-  /// Cancels all outstanding tickets and drains every channel; after this
+  /// Cancels all outstanding tickets and drains every lane; after this
   /// the ledgers are quiescent (checkpoint/stat-read safe). Coordinator
-  /// only. No-op when the pipeline is inactive.
+  /// only. No-op when no lanes exist.
   void DrainPipeline();
 
   // -------------------------------------------------------------------
@@ -232,8 +234,8 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Attaches (or detaches, with nulls) passive telemetry. Resolves metric
   /// pointers once so the hot paths pay a null check + one relaxed
   /// increment; never draws randomness, queries, or mutates session state.
-  /// Forwarded to the pipelined engine's SerialChannels (existing and
-  /// future). Call between rounds only, like the other mode switches.
+  /// Forwarded to the lane set (existing and future). Call between rounds
+  /// only, like the other mode switches.
   ///
   /// Metric catalog (docs/observability.md): cache.hits (gauge, derived at
   /// PublishMetrics time), cache.misses (fetch claims, refusals included;
@@ -265,12 +267,11 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Publishes the outcome of a claimed fetch and wakes waiters.
   void ResolveFetch(NodeId v, bool fetched);
 
-  /// True iff misses should go through the two-phase plan/apply path.
-  bool AsyncActive() const {
-    return fetch_mode_ == FetchMode::kAsync && fetch_queue_ != nullptr;
-  }
+  /// (Re)builds the lane set for the current mode: lanes exist iff the
+  /// fetch mode is kAsync or the pipeline is enabled. Drains first.
+  void ConfigureLanes(size_t lanes);
 
-  /// A wall-clock-only prefetch reservation: its channel task sleeps one
+  /// A wall-clock-only prefetch reservation: its lane task sleeps one
   /// RTT (or until cancelled) on the predicted backend's lane. Carries no
   /// ledger, cache, or cost effect — that is the whole determinism
   /// argument. Guarded by its own mutex; the tickets_ map by base_mutex_.
@@ -283,20 +284,25 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   static void CancelTicket(PrefetchTicket& ticket);
 
-  /// Posts one backend's deferred apply task to its channel: ledger math
-  /// first (the plan carried zero latency), then the wall-clock price of
-  /// its round trips minus `prepaid` ticket trips. `on_done` (optional)
-  /// fires after the sleep — the single-miss path joins on it.
-  void PostApplyTask(std::function<void()> task, uint32_t backend,
-                     uint32_t trips, uint32_t prepaid,
-                     std::function<void()> on_done);
+  /// The one lane fetch behind the async and pipelined engines: plans
+  /// `misses` (valid, distinct, uncached, claimed or coordinator-owned)
+  /// under the ledger mutex, consumes matching prefetch tickets, and posts
+  /// each backend's apply task to its lane in plan order. `inline_wire`:
+  /// the caller pays the wire time on its own thread (concurrent walkers'
+  /// misses overlap, and a pipelined demand miss never queues behind the
+  /// lanes' speculative backlog) and the lane runs only the ledger math.
+  /// `join`: block until the lanes ran everything posted up to and
+  /// including these tasks (a lag-0 marker join that rethrows a task
+  /// error), so ledgers are current on return. Returns the per-miss
+  /// fetched flags, or std::nullopt when the wrapped session cannot plan
+  /// (callers fall back to the sync path).
+  std::optional<std::vector<uint8_t>> LaneFetch(std::span<const NodeId> misses,
+                                                bool inline_wire, bool join);
 
-  /// Single-miss fetch through the channels (commit-phase walker misses
-  /// while the pipeline is live): plans under the ledger mutex, consumes a
-  /// matching ticket, posts per-backend tasks, joins on its own fetch.
-  /// Returns whether `v` was fetched, or std::nullopt when the wrapped
-  /// session cannot plan (caller falls back to the sync path).
-  std::optional<bool> PipelinedQueryMiss(NodeId v);
+  /// The sync miss path: fetches `misses` through the wrapped session under
+  /// the ledger mutex, then pays their round trips outside it. Returns the
+  /// per-miss fetched flags.
+  std::vector<uint8_t> SyncFetch(std::span<const NodeId> misses);
 
   /// Cache-hit predicate for the query paths. A spilled entry (flag 2)
   /// is still a hit — residency never changes what is *paid for* — but
@@ -356,11 +362,10 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   mutable std::mutex base_mutex_;
   Shard shards_[kShards];
   FetchMode fetch_mode_ = FetchMode::kSync;
-  std::unique_ptr<TaskQueue> fetch_queue_;
 
-  // Pipelined engine state. channels_/pipeline_depth_ change only between
-  // rounds (SetPipelineDepth); tickets_ and round_marks_ are touched under
-  // base_mutex_ / by the coordinator respectively.
+  // Lane engine state. channels_/pipeline_depth_ change only between
+  // rounds (SetFetchMode/SetPipelineDepth); tickets_ and round_marks_ are
+  // touched under base_mutex_ / by the coordinator respectively.
   size_t pipeline_depth_ = 0;
   std::unique_ptr<SerialChannels> channels_;
   std::unordered_map<NodeId, std::shared_ptr<PrefetchTicket>> tickets_;

@@ -55,6 +55,8 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   pool_ = std::make_unique<ThreadPool>(config.num_threads);
   proposals_.resize(walkers_.size());
   peeks_.resize(walkers_.size());
+  all_walkers_.resize(walkers_.size());
+  for (size_t i = 0; i < walkers_.size(); ++i) all_walkers_[i] = i;
 }
 
 CrawlScheduler::~CrawlScheduler() = default;
@@ -102,11 +104,7 @@ void CrawlScheduler::RunRounds(size_t rounds,
   if (config_.schedule == ScheduleMode::kBlock) {
     RunBlockRounds(rounds, diagnostics);
   } else if (config_.coalesce_frontier) {
-    if (pipelined) {
-      for (size_t r = 0; r < rounds; ++r) RunPipelinedRound(diagnostics);
-    } else {
-      for (size_t r = 0; r < rounds; ++r) RunCoalescedRound(diagnostics);
-    }
+    RunCoalescedRounds(rounds, diagnostics);
   } else {
     RunFreeRounds(rounds, diagnostics);
   }
@@ -150,26 +148,32 @@ void CrawlScheduler::RunFreeRounds(size_t rounds,
   });
 }
 
-void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
-  obs::TraceSpan round_span(trace_, "round.coalesced");
-  const size_t W = walkers_.size();
+template <typename SlotFn>
+void CrawlScheduler::StepActive(std::span<const size_t> active,
+                                std::vector<double>* diagnostics,
+                                SlotFn slot) {
+  const size_t A = active.size();
+  const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
   // Phase 1 (parallel): draw or peek step targets; proposals never fetch.
   pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      proposals_[i] = w.step_protocol() == StepProtocol::kSingleStep
-                          ? std::nullopt
-                          : w.ProposeStep();
+    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
+    for (size_t k = begin; k < end; ++k) {
+      Sampler& w = *walkers_[active[k]];
+      proposals_[active[k]] = w.step_protocol() == StepProtocol::kSingleStep
+                                  ? std::nullopt
+                                  : w.ProposeStep();
     }
   });
-  // Phase 2 (coordinator): fetch the deduplicated frontier in bulk. Only
-  // uncached targets go to the backend; the bulk endpoint chunks them into
-  // max_batch_size() ids per round trip.
+  // Phase 2 (coordinator): fetch the deduplicated uncached frontier in
+  // bulk, in walker order. Targets may live anywhere in the graph. The
+  // pipelined engine plans it exactly like BatchQuery would — same thread,
+  // same order, identical state mutations — but returns as soon as the
+  // outcomes are *planned* (cache marked, costs charged), leaving the
+  // per-backend latency in flight on the lanes while phase 3 commits.
   frontier_.clear();
   {
     std::unordered_set<NodeId> seen;
-    for (size_t i = 0; i < W; ++i) {
+    for (const size_t i : active) {
       if (!proposals_[i]) continue;
       const NodeId v = *proposals_[i];
       if (!interface_->IsCached(v) && seen.insert(v).second) {
@@ -178,21 +182,23 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
     }
   }
   if (!frontier_.empty()) {
-    obs::TraceSpan fetch_span(trace_, "frontier.fetch", frontier_.size());
-    interface_->BatchQuery(frontier_);
+    obs::TraceSpan fetch_span(trace_,
+                              pipelined ? "frontier.plan" : "frontier.fetch",
+                              frontier_.size());
+    if (pipelined) {
+      cache_->PipelinedFetch(frontier_);
+    } else {
+      interface_->BatchQuery(frontier_);
+    }
   }
   // Phase 3 (parallel): commit against the now-warm cache. kTwoPhase walks
   // move (only) to their announced target; kSpeculative walks re-validate
   // their speculation inside CommitStep (or take a plain Step when there
   // was nothing to prefetch); kSingleStep walks take their whole step here.
-  size_t diag_base = 0;
-  if (diagnostics != nullptr) {
-    diag_base = diagnostics->size();
-    diagnostics->resize(diag_base + W);
-  }
   pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
+    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
+    for (size_t k = begin; k < end; ++k) {
+      const size_t i = active[k];
       Sampler& w = *walkers_[i];
       switch (w.step_protocol()) {
         case StepProtocol::kSingleStep:
@@ -210,91 +216,46 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
           break;
       }
       if (diagnostics != nullptr) {
-        (*diagnostics)[diag_base + i] = w.CurrentDegreeForDiagnostic();
+        (*diagnostics)[slot(i)] = w.CurrentDegreeForDiagnostic();
       }
     }
   });
-}
-
-void CrawlScheduler::RunPipelinedRound(std::vector<double>* diagnostics) {
-  obs::TraceSpan round_span(trace_, "round.pipelined");
-  const size_t W = walkers_.size();
-  // Phases 1 and 2 are identical to the lock-step round — same coordinator
-  // thread, same frontier order, identical state mutations — except that
-  // PipelinedFetch returns as soon as the frontier's outcomes are *planned*
-  // (cache marked, costs charged): the per-backend latency stays in flight
-  // on the lanes while phase 3 commits against the planned outcomes.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      proposals_[i] = w.step_protocol() == StepProtocol::kSingleStep
-                          ? std::nullopt
-                          : w.ProposeStep();
-    }
-  });
-  frontier_.clear();
-  {
-    std::unordered_set<NodeId> seen;
-    for (size_t i = 0; i < W; ++i) {
-      if (!proposals_[i]) continue;
-      const NodeId v = *proposals_[i];
-      if (!interface_->IsCached(v) && seen.insert(v).second) {
-        frontier_.push_back(v);
-      }
-    }
-  }
-  if (!frontier_.empty()) {
-    obs::TraceSpan fetch_span(trace_, "frontier.plan", frontier_.size());
-    cache_->PipelinedFetch(frontier_);
-  }
-  size_t diag_base = 0;
-  if (diagnostics != nullptr) {
-    diag_base = diagnostics->size();
-    diagnostics->resize(diag_base + W);
-  }
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      switch (w.step_protocol()) {
-        case StepProtocol::kSingleStep:
-          w.Step();
-          break;
-        case StepProtocol::kTwoPhase:
-          if (proposals_[i]) w.CommitStep(*proposals_[i]);
-          break;
-        case StepProtocol::kSpeculative:
-          if (proposals_[i]) {
-            w.CommitStep(*proposals_[i]);
-          } else {
-            w.Step();
-          }
-          break;
-      }
-      if (diagnostics != nullptr) {
-        (*diagnostics)[diag_base + i] = w.CurrentDegreeForDiagnostic();
-      }
-    }
-  });
+  if (!pipelined) return;
   // Phase 4 (parallel peek, then coordinator publish): ask each walker for
   // its predicted next targets — pure reads on saved RNG state, so this
   // perturbs nothing — and turn them into prefetch tickets. The hints call
   // runs even when empty: it is the deterministic invalidation point for
-  // the previous round's stale tickets.
+  // the previous step's stale tickets.
   const size_t width = config_.pipeline_depth;
   pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      peeks_[i].clear();
-      walkers_[i]->PeekNextTargets(width, peeks_[i]);
+    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
+    for (size_t k = begin; k < end; ++k) {
+      peeks_[active[k]].clear();
+      walkers_[active[k]]->PeekNextTargets(width, peeks_[active[k]]);
     }
   });
   predicted_.clear();
-  for (size_t i = 0; i < W; ++i) {
+  for (const size_t i : active) {
     for (NodeId v : peeks_[i]) predicted_.push_back(v);
   }
   cache_->PostPrefetchHints(predicted_);
+}
+
+void CrawlScheduler::RunCoalescedRounds(size_t rounds,
+                                        std::vector<double>* diagnostics) {
+  const size_t W = walkers_.size();
+  size_t diag_base = 0;
+  if (diagnostics != nullptr) {
+    diag_base = diagnostics->size();
+    diagnostics->resize(diag_base + rounds * W);
+  }
+  const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
+  for (size_t r = 0; r < rounds; ++r) {
+    obs::TraceSpan round_span(
+        trace_, pipelined ? "round.pipelined" : "round.coalesced");
+    StepActive(all_walkers_, diagnostics,
+               [&](size_t i) { return diag_base + r * W + i; });
+  }
 }
 
 void CrawlScheduler::RunBlockRounds(size_t rounds,
@@ -322,6 +283,9 @@ void CrawlScheduler::RunBlockRounds(size_t rounds,
     buckets[b].push_back(i);
     pressure[b] += rounds;
   }
+  const auto slot = [&](size_t i) {
+    return diag_base + (rounds - remaining[i]) * W + i;
+  };
   size_t live = W;
   std::vector<size_t> active;
   while (live > 0) {
@@ -345,100 +309,26 @@ void CrawlScheduler::RunBlockRounds(size_t rounds,
     // the window or walks out of the block; emigrants re-bucket and wait
     // for their new block's turn.
     while (!active.empty()) {
-      RunBlockMicroRound(best, active, remaining, rounds, diag_base,
-                         diagnostics, buckets, pressure, live);
-    }
-  }
-}
-
-void CrawlScheduler::RunBlockMicroRound(
-    uint32_t block, std::vector<size_t>& active,
-    std::vector<size_t>& remaining, size_t rounds, size_t diag_base,
-    std::vector<double>* diagnostics, std::vector<std::vector<size_t>>& buckets,
-    std::vector<uint64_t>& pressure, size_t& live) {
-  const size_t W = walkers_.size();
-  const size_t A = active.size();
-  const GraphPartitioner& part = cache_->partitioner();
-  // Phase 1 (parallel over the bucket): draw or peek step targets.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      Sampler& w = *walkers_[active[k]];
-      proposals_[active[k]] = w.step_protocol() == StepProtocol::kSingleStep
-                                  ? std::nullopt
-                                  : w.ProposeStep();
-    }
-  });
-  // Phase 2 (coordinator): fetch the bucket's deduplicated uncached
-  // frontier — targets may live in *any* block; fetching them marks them
-  // cached-resident wherever they land (stray residents are folded into
-  // their block's segment at its next eviction).
-  frontier_.clear();
-  {
-    std::unordered_set<NodeId> seen;
-    for (size_t k = 0; k < A; ++k) {
-      if (!proposals_[active[k]]) continue;
-      const NodeId v = *proposals_[active[k]];
-      if (!interface_->IsCached(v) && seen.insert(v).second) {
-        frontier_.push_back(v);
+      StepActive(active, diagnostics, slot);
+      // Coordinator: account the step, drop finished walkers, re-bucket
+      // emigrants (deterministic: single thread, bucket order).
+      size_t out = 0;
+      for (const size_t i : active) {
+        if (--remaining[i] == 0) {
+          --live;
+          continue;
+        }
+        const uint32_t b = part.BlockOf(walkers_[i]->current());
+        if (b == best) {
+          active[out++] = i;
+        } else {
+          buckets[b].push_back(i);
+          pressure[b] += remaining[i];
+        }
       }
+      active.resize(out);
     }
   }
-  if (!frontier_.empty()) {
-    obs::TraceSpan fetch_span(trace_, "frontier.fetch", frontier_.size());
-    if (cache_->PipelineActive()) {
-      cache_->PipelinedFetch(frontier_);
-    } else {
-      interface_->BatchQuery(frontier_);
-    }
-  }
-  // Phase 3 (parallel): commit against the warm cache; identical protocol
-  // dispatch to the walker-major rounds.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      const size_t i = active[k];
-      Sampler& w = *walkers_[i];
-      switch (w.step_protocol()) {
-        case StepProtocol::kSingleStep:
-          w.Step();
-          break;
-        case StepProtocol::kTwoPhase:
-          if (proposals_[i]) w.CommitStep(*proposals_[i]);
-          break;
-        case StepProtocol::kSpeculative:
-          if (proposals_[i]) {
-            w.CommitStep(*proposals_[i]);
-          } else {
-            w.Step();
-          }
-          break;
-      }
-      if (diagnostics != nullptr) {
-        const size_t r = rounds - remaining[i];  // 0-based step index
-        (*diagnostics)[diag_base + r * W + i] = w.CurrentDegreeForDiagnostic();
-      }
-    }
-  });
-  // Coordinator: account the step, drop finished walkers, re-bucket
-  // emigrants (deterministic: single thread, bucket order).
-  size_t out = 0;
-  for (size_t k = 0; k < A; ++k) {
-    const size_t i = active[k];
-    --remaining[i];
-    if (remaining[i] == 0) {
-      --live;
-      continue;
-    }
-    const uint32_t b = part.BlockOf(walkers_[i]->current());
-    if (b == block) {
-      active[out++] = i;
-    } else {
-      buckets[b].push_back(i);
-      pressure[b] += remaining[i];
-    }
-  }
-  active.resize(out);
 }
 
 std::vector<CrawlScheduler::WalkerState> CrawlScheduler::SnapshotWalkers()

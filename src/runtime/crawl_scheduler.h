@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -38,13 +39,15 @@ struct CrawlConfig {
   /// bit-identical either way.
   bool coalesce_frontier = false;
   /// Miss-fetch execution mode, applied to the interface when it is a
-  /// ConcurrentInterfaceCache: kAsync overlaps round trips of misses
-  /// served by different backends (multi-backend sessions only; a
-  /// single-backend session silently behaves like kSync). Samples, costs,
-  /// and per-backend ledgers are bit-identical across modes — the fetch
-  /// mode, like num_threads, is pure execution shape (DESIGN.md §9).
+  /// ConcurrentInterfaceCache: kAsync runs each backend's round trips on
+  /// its own FIFO lane, so misses served by different backends overlap
+  /// (multi-backend sessions only; a single-backend session silently
+  /// behaves like kSync). Samples, costs, and per-backend ledgers are
+  /// bit-identical across modes — the fetch mode, like num_threads, is
+  /// pure execution shape (DESIGN.md §9).
   FetchMode fetch_mode = FetchMode::kSync;
-  /// Async fetch workers; 0 = auto (see ConcurrentInterfaceCache).
+  /// Lanes of the async and pipelined engines; 0 = auto (see
+  /// ConcurrentInterfaceCache). Backend b rides lane `b % fetch_threads`.
   size_t fetch_threads = 0;
   /// Pipelined rounds (coalesced stepping over a ConcurrentInterfaceCache
   /// only; ignored otherwise): with depth k >= 1, up to k rounds of
@@ -79,10 +82,10 @@ struct CrawlConfig {
 
 /// Shards W walkers across a fixed thread pool, deterministically.
 ///
-/// Determinism contract (the invariant parallel_walkers_test pins, extended
-/// to real threads): walker i's RNG is `Rng(seed).Fork(i)`, forked in index
-/// order at construction, and a walker's trajectory depends only on its own
-/// stream and the immutable network. Positions after any number of rounds —
+/// Determinism contract (crawl_scheduler_test pins it): walker i's RNG is
+/// `Rng(seed).Fork(i)`, forked in index order at construction, and a
+/// walker's trajectory depends only on its own stream and the immutable
+/// network. Positions after any number of rounds —
 /// and everything derived from them in walker order, diagnostics and
 /// samples included — are therefore bit-identical for a fixed
 /// (seed, num_walkers) across num_threads = 1, 2, 8, ... and across both
@@ -172,23 +175,22 @@ class CrawlScheduler {
 
  private:
   void RunFreeRounds(size_t rounds, std::vector<double>* diagnostics);
-  void RunCoalescedRound(std::vector<double>* diagnostics);
-  /// RunCoalescedRound with the lock-step frontier join replaced by
-  /// PipelinedFetch and a trailing peek/prefetch phase (DESIGN.md §10).
-  void RunPipelinedRound(std::vector<double>* diagnostics);
+  /// Walker-major coalesced rounds: every round steps all walkers through
+  /// StepActive.
+  void RunCoalescedRounds(size_t rounds, std::vector<double>* diagnostics);
   /// Block-major window: bucket → pressure pick → EnsureResident →
-  /// propose/fetch/commit micro-rounds until the bucket drains
-  /// (DESIGN.md §14). Diagnostics land in the same round-major slots the
-  /// walker-major modes fill — the trace is bit-identical by construction.
+  /// StepActive barriers until the bucket drains (DESIGN.md §14).
+  /// Diagnostics land in the same round-major slots the walker-major modes
+  /// fill — the trace is bit-identical by construction.
   void RunBlockRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// One propose/fetch/commit barrier for the in-block walker set; steps
-  /// each active walker once and then drops finished/emigrated walkers,
-  /// re-bucketing the emigrants. Returns via in/out params.
-  void RunBlockMicroRound(uint32_t block, std::vector<size_t>& active,
-                          std::vector<size_t>& remaining, size_t rounds,
-                          size_t diag_base, std::vector<double>* diagnostics,
-                          std::vector<std::vector<size_t>>& buckets,
-                          std::vector<uint64_t>& pressure, size_t& live);
+  /// The one propose → frontier → commit barrier: steps each walker in
+  /// `active` once (coalesced frontier, then commits), writing walker i's
+  /// diagnostic to `(*diagnostics)[slot(i)]`. Under a live pipeline the
+  /// frontier is planned, not joined, and a peek phase posts the next
+  /// step's prefetch hints (DESIGN.md §10).
+  template <typename SlotFn>
+  void StepActive(std::span<const size_t> active,
+                  std::vector<double>* diagnostics, SlotFn slot);
 
   RestrictedInterface* interface_;
   /// Non-null iff `interface_` is the concurrent cache (then they alias).
@@ -219,6 +221,7 @@ class CrawlScheduler {
   void RefreshSpeculationGauges();
 
   // Scratch for coalesced rounds (stable across rounds to avoid churn).
+  std::vector<size_t> all_walkers_;  // 0..W-1: the walker-major active set
   std::vector<std::optional<NodeId>> proposals_;
   std::vector<NodeId> frontier_;
   std::vector<std::vector<NodeId>> peeks_;  // per-walker prefetch hints

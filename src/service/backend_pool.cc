@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/util/rng.h"
@@ -373,54 +372,44 @@ bool BackendPool::PlanOne(NodeId v,
   return false;
 }
 
-void BackendPool::ApplyOps(size_t b, std::span<const LedgerOp> ops,
-                           std::chrono::microseconds per_trip_latency) {
-  int64_t trips = 0;
-  {
-    std::lock_guard<std::mutex> lock(ledger_mutexes_[b]);
-    const BackendConfig& config = configs_[b];
-    BackendLedger& ledger = ledgers_[b];
-    for (const LedgerOp& op : ops) {
-      if (op.refusal != 0) {
-        ++ledger.stats.budget_refusals;
-        continue;
-      }
-      PaceRequest(b);
-      const AttemptDraw& draw = op.draw;
-      ledger.clock_us += draw.latency_us;
-      ledger.stats.simulated_us += draw.latency_us;
-      ++ledger.stats.requests;
-      ++trips;
-      if (draw.fault == Fault::kNone) {
-        ++ledger.stats.unique_queries;
-        continue;
-      }
-      ++ledger.stats.failed_requests;
-      switch (draw.fault) {
-        case Fault::kTimeout:
-          ++ledger.stats.timeouts;
-          ledger.clock_us += config.timeout_us;
-          ledger.stats.simulated_us += config.timeout_us;
-          break;
-        case Fault::kTransientError:
-          ++ledger.stats.transient_errors;
-          break;
-        case Fault::kQuotaRejected:
-          ++ledger.stats.quota_rejections;
-          break;
-        case Fault::kNone:
-          break;
-      }
-      const uint64_t backoff_us =
-          retry_.BackoffUs(fault_seed_, op.node, op.attempt);
-      ledger.clock_us += backoff_us;
-      ledger.stats.simulated_us += backoff_us;
+void BackendPool::ApplyOps(size_t b, std::span<const LedgerOp> ops) {
+  std::lock_guard<std::mutex> lock(ledger_mutexes_[b]);
+  const BackendConfig& config = configs_[b];
+  BackendLedger& ledger = ledgers_[b];
+  for (const LedgerOp& op : ops) {
+    if (op.refusal != 0) {
+      ++ledger.stats.budget_refusals;
+      continue;
     }
-  }
-  // The real-time price of this backend's round trips, paid outside the
-  // ledger lock so only same-backend trips serialize on the ledger math.
-  if (per_trip_latency.count() > 0 && trips > 0) {
-    std::this_thread::sleep_for(per_trip_latency * trips);
+    PaceRequest(b);
+    const AttemptDraw& draw = op.draw;
+    ledger.clock_us += draw.latency_us;
+    ledger.stats.simulated_us += draw.latency_us;
+    ++ledger.stats.requests;
+    if (draw.fault == Fault::kNone) {
+      ++ledger.stats.unique_queries;
+      continue;
+    }
+    ++ledger.stats.failed_requests;
+    switch (draw.fault) {
+      case Fault::kTimeout:
+        ++ledger.stats.timeouts;
+        ledger.clock_us += config.timeout_us;
+        ledger.stats.simulated_us += config.timeout_us;
+        break;
+      case Fault::kTransientError:
+        ++ledger.stats.transient_errors;
+        break;
+      case Fault::kQuotaRejected:
+        ++ledger.stats.quota_rejections;
+        break;
+      case Fault::kNone:
+        break;
+    }
+    const uint64_t backoff_us =
+        retry_.BackoffUs(fault_seed_, op.node, op.attempt);
+    ledger.clock_us += backoff_us;
+    ledger.stats.simulated_us += backoff_us;
   }
 }
 
@@ -432,14 +421,13 @@ void BackendPool::FetchMisses(std::span<const NodeId> misses) {
   }
   for (size_t b = 0; b < plan_scratch_.size(); ++b) {
     if (!plan_scratch_[b].empty()) {
-      ApplyOps(b, plan_scratch_[b], std::chrono::microseconds(0));
+      ApplyOps(b, plan_scratch_[b]);
     }
   }
 }
 
 std::optional<DeferredFetch> BackendPool::PlanFetchMisses(
-    std::span<const NodeId> misses,
-    std::chrono::microseconds per_trip_latency) {
+    std::span<const NodeId> misses) {
   DeferredFetch out;
   out.fetched.assign(misses.size(), 0);
   out.first_backend.assign(misses.size(), UINT32_MAX);
@@ -458,9 +446,7 @@ std::optional<DeferredFetch> BackendPool::PlanFetchMisses(
     out.task_backend.push_back(static_cast<uint32_t>(b));
     out.task_trips.push_back(trips);
     out.apply_tasks.push_back(
-        [this, b, ops = std::move(per_backend[b]), per_trip_latency] {
-          ApplyOps(b, ops, per_trip_latency);
-        });
+        [this, b, ops = std::move(per_backend[b])] { ApplyOps(b, ops); });
   }
   return out;
 }

@@ -142,9 +142,10 @@ const char* BackendSelectionName(BackendSelection selection);
 /// entry points externally (runtime/ConcurrentInterfaceCache does). Only
 /// the deferred apply tasks may run concurrently. Simulated time (latency,
 /// backoff, pacing) is charged to per-backend virtual clocks, not slept,
-/// so scenario sweeps run at full CPU speed; the async path additionally
-/// sleeps the wrapper-provided per-trip latency inside each backend's
-/// apply task, which is what makes distinct backends overlap in real time.
+/// so scenario sweeps run at full CPU speed; real round-trip time, when
+/// simulated at all, is paid by the concurrent wrapper's lanes
+/// (runtime/ConcurrentInterfaceCache), which is what makes distinct
+/// backends overlap in real time.
 class BackendPool final : public RestrictedInterface {
  public:
   /// `backends` must be non-empty; configs are validated.
@@ -198,8 +199,7 @@ class BackendPool final : public RestrictedInterface {
   /// miss on the calling thread and returns one deferred ledger/latency
   /// task per backend touched, in-plan-order within each backend.
   std::optional<DeferredFetch> PlanFetchMisses(
-      std::span<const NodeId> misses,
-      std::chrono::microseconds per_trip_latency) override;
+      std::span<const NodeId> misses) override;
 
   /// Routing preview for the pipelined prefetcher: answers for the pure
   /// per-node policies (kSharded, kRendezvous) with each id's first
@@ -265,10 +265,8 @@ class BackendPool final : public RestrictedInterface {
                uint32_t* first_request_backend = nullptr);
 
   /// Applies one backend's planned ops to its ledger, under that ledger's
-  /// mutex, then sleeps `per_trip_latency` once per applied request (the
-  /// real-time cost of this backend's round trips, paid outside the lock).
-  void ApplyOps(size_t b, std::span<const LedgerOp> ops,
-                std::chrono::microseconds per_trip_latency);
+  /// mutex. Pure ledger math: the caller pays any real round-trip time.
+  void ApplyOps(size_t b, std::span<const LedgerOp> ops);
 
   /// Token-bucket pacing on the backend's virtual clock. Caller holds the
   /// backend's ledger mutex.

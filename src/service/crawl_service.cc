@@ -25,7 +25,7 @@ CrawlService::CrawlService(const ScenarioConfig& config)
       network_(SocialNetwork::WithSyntheticProfiles(
           MakeDataset(config.dataset), kProfileSeed)) {
   config_.Validate();
-  program_ = &GetWalkProgram(config_.ProgramName());
+  program_ = &GetWalkProgram(config_.program.name);
 
   std::vector<BackendConfig> backends = config_.backends;
   if (backends.empty()) backends.push_back(BackendConfig{});  // perfect key
@@ -40,13 +40,12 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   crawl.num_threads = config_.num_threads;
   crawl.coalesce_frontier = config_.coalesce_frontier;
   crawl.fetch_mode = config_.fetch_mode;
-  // Auto-size the async fetch pool to the backend fleet: one worker per
-  // backend channel is exactly the overlap the pool's sharded ledgers
-  // admit.
+  // Auto-size the lanes to the backend fleet: one lane per backend is
+  // exactly the overlap the pool's sharded ledgers admit.
   crawl.fetch_threads = config_.fetch_threads != 0 ? config_.fetch_threads
                                                    : pool_->num_backends();
   crawl.pipeline_depth = config_.pipeline_depth;
-  crawl.program_label = config_.ProgramName();
+  crawl.program_label = config_.program.name;
   crawl.schedule = config_.schedule;
   if (config_.schedule == ScheduleMode::kBlock) {
     crawl.block_size = config_.block_size;
@@ -69,8 +68,8 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   scheduler_ = std::make_unique<CrawlScheduler>(
       *session_, crawl, config_.seed,
       [this](RestrictedInterface& iface, Rng& rng, size_t) {
-        // Walker i's start is the first draw of its own (seed, i) stream,
-        // exactly like the parallel harness.
+        // Walker i's start is the first draw of its own (seed, i) stream:
+        // a function of (seed, i) only, like everything downstream.
         const NodeId start =
             static_cast<NodeId>(rng.UniformInt(network_.num_users()));
         WalkProgramParams params;
@@ -312,8 +311,7 @@ JsonValue CrawlService::RunReport() const {
   JsonValue scenario = JsonValue::Object();
   auto& sc = scenario.MutableObject();
   sc["dataset"] = JsonValue(config_.dataset);
-  sc["sampler"] = JsonValue(config_.ProgramName());
-  sc["program"] = JsonValue(config_.ProgramName());
+  sc["program"] = JsonValue(config_.program.name);
   sc["attribute"] = JsonValue(std::string(AttributeKey(config_.attribute)));
   sc["seed"] = JsonValue(static_cast<double>(config_.seed));
   sc["walkers"] = JsonValue(static_cast<double>(config_.num_walkers));

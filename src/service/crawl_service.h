@@ -21,8 +21,8 @@
 
 namespace mto {
 
-/// Result of a crawl-service run: the parallel-harness result surface plus
-/// the service layer's fault/failover accounting.
+/// Result of a crawl-service run: samples, estimate trace, and costs of the
+/// multi-walker crawl, plus the service layer's fault/failover accounting.
 struct ServiceResult {
   std::vector<NodeId> samples;    ///< node ids, round-major in walker order
   std::vector<TracePoint> trace;  ///< running estimate after each sample
@@ -142,7 +142,7 @@ class CrawlService {
 
   ScenarioConfig config_;
   SocialNetwork network_;
-  /// Registry singleton for config_.ProgramName(); resolved at
+  /// Registry singleton for config_.program.name; resolved at
   /// construction, never null afterwards.
   const WalkProgram* program_ = nullptr;
 

@@ -44,14 +44,6 @@ void CheckKeys(const JsonValue& obj, const char* where,
   }
 }
 
-SamplerKind ParseSamplerKind(const std::string& s) {
-  if (s == "srw") return SamplerKind::kSrw;
-  if (s == "mhrw") return SamplerKind::kMhrw;
-  if (s == "random_jump" || s == "rj") return SamplerKind::kRandomJump;
-  if (s == "mto") return SamplerKind::kMto;
-  throw std::invalid_argument("ScenarioConfig: unknown sampler \"" + s + "\"");
-}
-
 Attribute ParseAttribute(const std::string& s) {
   if (s == "degree") return Attribute::kDegree;
   if (s == "description_length") return Attribute::kDescriptionLength;
@@ -80,7 +72,7 @@ BackendSelection ParseSelection(const std::string& s) {
   if (s == "round_robin") return BackendSelection::kRoundRobin;
   if (s == "least_loaded") return BackendSelection::kLeastLoaded;
   if (s == "budget_aware") return BackendSelection::kBudgetAware;
-  throw std::invalid_argument("ScenarioConfig: unknown strategy \"" + s +
+  throw std::invalid_argument("ScenarioConfig: unknown routing \"" + s +
                               "\"");
 }
 
@@ -124,16 +116,6 @@ BackendConfig ParseBackend(const JsonValue& obj, size_t index) {
 
 }  // namespace
 
-const char* SamplerKindKey(SamplerKind kind) {
-  switch (kind) {
-    case SamplerKind::kSrw: return "srw";
-    case SamplerKind::kMhrw: return "mhrw";
-    case SamplerKind::kRandomJump: return "random_jump";
-    case SamplerKind::kMto: return "mto";
-  }
-  return "?";
-}
-
 const char* AttributeKey(Attribute attribute) {
   switch (attribute) {
     case Attribute::kDegree: return "degree";
@@ -145,26 +127,16 @@ const char* AttributeKey(Attribute attribute) {
 
 ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
-            {"dataset", "seed", "sampler", "program", "mto", "attribute",
+            {"dataset", "seed", "program", "mto", "attribute",
              "jump_probability", "walkers", "threads", "coalesce_frontier",
              "fetch_mode", "fetch_threads", "pipeline_depth", "schedule",
              "block", "queue_capacity",
              "geweke", "max_burn_in_rounds", "num_samples", "thinning",
-             "total_budget", "backends", "strategy", "routing", "retry",
+             "total_budget", "backends", "routing", "retry",
              "fault_seed", "checkpoint", "observability"});
   ScenarioConfig config;
   if (root.Has("dataset")) config.dataset = root.At("dataset").AsString();
   if (root.Has("seed")) config.seed = root.At("seed").AsUint();
-  // "program" subsumes the historical "sampler" key; like
-  // "strategy"/"routing", naming both is a contradiction waiting to happen.
-  if (root.Has("sampler") && root.Has("program")) {
-    throw std::invalid_argument(
-        "ScenarioConfig: \"sampler\" and \"program\" are aliases; "
-        "specify only one");
-  }
-  if (root.Has("sampler")) {
-    config.sampler = ParseSamplerKind(root.At("sampler").AsString());
-  }
   if (root.Has("program")) {
     const JsonValue& program = root.At("program");
     CheckKeys(program, "program", {"name", "p", "q", "restart"});
@@ -196,14 +168,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
     if (program.Has("restart")) {
       config.program.restart = program.At("restart").AsDouble();
     }
-    // Keep the legacy enum in sync when the program has one, so enum-based
-    // consumers (run reports, experiment harness helpers) agree.
-    if (config.program.name == "srw") config.sampler = SamplerKind::kSrw;
-    if (config.program.name == "mhrw") config.sampler = SamplerKind::kMhrw;
-    if (config.program.name == "random_jump") {
-      config.sampler = SamplerKind::kRandomJump;
-    }
-    if (config.program.name == "mto") config.sampler = SamplerKind::kMto;
   }
   if (root.Has("mto")) {
     const JsonValue& mto = root.At("mto");
@@ -252,6 +216,12 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
     config.attribute = ParseAttribute(root.At("attribute").AsString());
   }
   if (root.Has("jump_probability")) {
+    // Same rule as program.p/q/restart: a knob its program never reads
+    // would still move the fingerprint and block an honest resume.
+    if (config.program.name != "random_jump") {
+      throw std::invalid_argument(
+          "ScenarioConfig: jump_probability applies only to random_jump");
+    }
     config.jump_probability = root.At("jump_probability").AsDouble();
   }
   if (root.Has("walkers")) config.num_walkers = root.At("walkers").AsUint();
@@ -316,16 +286,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
     for (size_t i = 0; i < array.size(); ++i) {
       config.backends.push_back(ParseBackend(array[i], i));
     }
-  }
-  // "routing" is the preferred alias of the historical "strategy" key;
-  // naming both is a config contradiction waiting to happen, so reject it.
-  if (root.Has("strategy") && root.Has("routing")) {
-    throw std::invalid_argument(
-        "ScenarioConfig: \"strategy\" and \"routing\" are aliases; "
-        "specify only one");
-  }
-  if (root.Has("strategy")) {
-    config.strategy = ParseSelection(root.At("strategy").AsString());
   }
   if (root.Has("routing")) {
     config.strategy = ParseSelection(root.At("routing").AsString());
@@ -429,7 +389,7 @@ void ScenarioConfig::Validate() const {
     throw std::invalid_argument(
         "ScenarioConfig: jump_probability must be in [0, 1]");
   }
-  if (!program.name.empty() && FindWalkProgram(program.name) == nullptr) {
+  if (FindWalkProgram(program.name) == nullptr) {
     throw std::invalid_argument("ScenarioConfig: unknown program \"" +
                                 program.name + "\"");
   }
@@ -441,7 +401,7 @@ void ScenarioConfig::Validate() const {
     throw std::invalid_argument(
         "ScenarioConfig: program.restart must be in [0, 1]");
   }
-  if (mto_configured && ProgramName() != "mto") {
+  if (mto_configured && program.name != "mto") {
     throw std::invalid_argument(
         "ScenarioConfig: the \"mto\" block requires the mto program");
   }
@@ -498,18 +458,11 @@ void ScenarioConfig::Validate() const {
   }
 }
 
-std::string ScenarioConfig::ProgramName() const {
-  return program.name.empty() ? std::string(SamplerKindKey(sampler))
-                              : program.name;
-}
-
 uint64_t ScenarioConfig::Fingerprint() const {
   Fnv fnv;
   fnv.Mix(dataset);
   fnv.Mix(seed);
-  // The resolved program name replaces the historical sampler-enum mix, so
-  // "sampler": "srw" and "program": {"name": "srw"} fingerprint alike.
-  fnv.Mix(ProgramName());
+  fnv.Mix(program.name);
   fnv.Mix(program.p);
   fnv.Mix(program.q);
   fnv.Mix(program.restart);

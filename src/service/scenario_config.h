@@ -20,13 +20,11 @@ struct CheckpointConfig {
   size_t every_units = 0;    ///< save every N Advance() units; 0 = disabled
 };
 
-/// Walk-program selection (the scenario's `"program"` object). Subsumes the
-/// historical `"sampler"` enum key: `name` is resolved through the
-/// WalkProgram registry (src/walk/walk_program.h), so new programs need no
-/// enum surgery. `"sampler"` and `"program"` are aliases of the same choice
-/// and naming both is an error.
+/// Walk-program selection (the scenario's `"program"` object): `name` is a
+/// WalkProgram registry name (src/walk/walk_program.h), so new programs need
+/// no enum surgery.
 struct ProgramConfig {
-  std::string name;       ///< empty = fall back to the `sampler` key
+  std::string name = "srw";  ///< canonical registry name
   double p = 1.0;         ///< node2vec return parameter (> 0)
   double q = 1.0;         ///< node2vec in-out parameter (> 0)
   double restart = 0.15;  ///< pagerank teleport probability ([0, 1])
@@ -62,7 +60,7 @@ struct ObservabilityConfig {
 };
 
 /// Complete description of a crawl-service run, loadable from JSON: the
-/// dataset, the sampler and estimation parameters, the crawl-runtime shape
+/// dataset, the walk program and estimation parameters, the crawl-runtime shape
 /// (walkers/threads/stepping mode), the backend fleet with its retry and
 /// selection policies, and optional periodic checkpointing.
 ///
@@ -74,7 +72,7 @@ struct ObservabilityConfig {
 /// {
 ///   "dataset": "epinions_small",
 ///   "seed": 42,
-///   "sampler": "srw",
+///   "program": {"name": "srw"},
 ///   "attribute": "degree",
 ///   "walkers": 16, "threads": 4, "coalesce_frontier": false,
 ///   "fetch_mode": "async", "fetch_threads": 0, "pipeline_depth": 0,
@@ -106,14 +104,14 @@ struct ObservabilityConfig {
 struct ScenarioConfig {
   std::string dataset = "epinions_small";
   uint64_t seed = 1;
-  SamplerKind sampler = SamplerKind::kSrw;
   Attribute attribute = Attribute::kDegree;
-  double jump_probability = 0.5;  ///< used when sampler == random_jump
+  /// Teleport probability of random_jump (top-level `"jump_probability"`;
+  /// naming it under any other program is an error).
+  double jump_probability = 0.5;
 
-  /// Walk-program selection (`"program"` object; preferred over the
-  /// historical `"sampler"` key, which it aliases — naming both is an
-  /// error). When `program.name` is one of the four legacy names the
-  /// `sampler` enum is kept in sync for downstream consumers.
+  /// Walk-program selection (`"program"` object; default srw). Its name is
+  /// what CrawlService resolves through GetWalkProgram, what the
+  /// fingerprint mixes, and what metric labels carry.
   ProgramConfig program;
   /// The paper's MTO ablation knobs (`"mto"` object); consumed only when
   /// the resolved program is "mto" — setting the block for any other
@@ -129,11 +127,12 @@ struct ScenarioConfig {
   bool coalesce_frontier = false;
   /// Miss-fetch execution: "sync" serializes backend fetches under the
   /// session ledger lock; "async" plans them there but overlaps the
-  /// round-trip work of distinct backends on a completion queue. Results
+  /// round-trip work of distinct backends on per-backend lanes. Results
   /// are bit-identical across modes (fetch_equivalence_test pins this), so
   /// like num_threads it is excluded from the checkpoint fingerprint.
   FetchMode fetch_mode = FetchMode::kSync;
-  /// Async fetch workers; 0 = one per backend (capped by the runtime).
+  /// Lanes of the async and pipelined fetch engines; 0 = one per backend
+  /// (capped by the runtime). Backend b rides lane `b % fetch_threads`.
   size_t fetch_threads = 0;
   /// Pipelined rounds (coalesced stepping only): with depth k >= 1, up to
   /// k rounds of deferred backend latency stay in flight behind the crawl
@@ -173,10 +172,9 @@ struct ScenarioConfig {
   /// Pool-wide unique-query cap on top of per-backend budgets; 0 = none.
   uint64_t total_budget = 0;
   std::vector<BackendConfig> backends;  ///< empty = one perfect backend
-  /// Backend routing policy. JSON accepts either "strategy" (historical)
-  /// or "routing" (preferred alias) — naming both is an error. Excluded
-  /// from the checkpoint fingerprint: resuming under a different policy is
-  /// a live rotation, the trajectory simply becomes hybrid.
+  /// Backend routing policy (JSON key `"routing"`). Excluded from the
+  /// checkpoint fingerprint: resuming under a different policy is a live
+  /// rotation, the trajectory simply becomes hybrid.
   BackendSelection strategy = BackendSelection::kSharded;
   RetryPolicy retry;
   uint64_t fault_seed = 0x5EED;
@@ -190,21 +188,14 @@ struct ScenarioConfig {
   static ScenarioConfig FromJsonText(std::string_view text);
   static ScenarioConfig FromFile(const std::string& path);
 
-  /// Semantic validation (ranges, sampler/checkpoint compatibility).
+  /// Semantic validation (ranges, program/checkpoint compatibility).
   void Validate() const;
-
-  /// The resolved walk-program registry name: `program.name` when the
-  /// document selected one, else the legacy `sampler` key's name. This is
-  /// what CrawlService resolves through GetWalkProgram, what the
-  /// fingerprint mixes, and what metric labels carry.
-  std::string ProgramName() const;
 
   /// Stable hash of the fields that determine crawl behavior; stored in
   /// checkpoints so resuming under a different scenario fails loudly.
   uint64_t Fingerprint() const;
 };
 
-const char* SamplerKindKey(SamplerKind kind);
 const char* AttributeKey(Attribute attribute);
 
 }  // namespace mto

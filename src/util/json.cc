@@ -64,9 +64,14 @@ class Parser {
     SkipWhitespace();
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Recursion is bounded so hostile input fails loudly instead of
+        // overflowing the stack.
+        if (++depth_ > kMaxJsonDepth) Fail("nesting too deep");
+        JsonValue v = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue(ParseString());
       case 't':
@@ -230,6 +235,7 @@ class Parser {
   }
 
   std::string_view text_;
+  size_t depth_ = 0;  ///< open arrays/objects around the current value
   size_t pos_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -80,8 +81,13 @@ class JsonValue {
 /// Parses one JSON document; trailing non-whitespace is an error. Throws
 /// std::runtime_error with a byte-offset-annotated message on syntax
 /// errors. Supports standard escapes (\" \\ \/ \b \f \n \r \t and \uXXXX
-/// for code points up to U+FFFF, encoded as UTF-8).
+/// for code points up to U+FFFF, encoded as UTF-8). Arrays and objects may
+/// nest at most kMaxJsonDepth deep; deeper input is a "nesting too deep"
+/// parse error.
 JsonValue ParseJson(std::string_view text);
+
+/// Nesting bound of ParseJson (far beyond any scenario or report).
+inline constexpr size_t kMaxJsonDepth = 512;
 
 /// Serializes a document back to JSON text. `indent` > 0 pretty-prints
 /// with that many spaces per nesting level; 0 emits one compact line.

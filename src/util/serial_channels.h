@@ -17,17 +17,19 @@
 namespace mto {
 
 /// A fixed set of single-worker FIFO lanes ("channels"), one per backend
-/// connection in the pipelined fetch engine (DESIGN.md §10).
+/// connection in the lane fetch engine behind async and pipelined fetches
+/// (DESIGN.md §9, §10).
 ///
 /// Each channel runs its tasks strictly in post order on its own dedicated
 /// worker, so tasks posted to the *same* channel serialize (one backend
 /// serves one round trip at a time — the bandwidth model) while tasks on
-/// *different* channels overlap freely. Unlike util/TaskQueue there is no
-/// per-dispatch join: posting is fire-and-forget, and progress is observed
-/// through markers — `Mark()` snapshots the per-channel posted counts, and
-/// `WaitUntil(marker)` blocks until every channel has completed at least
-/// that much. This is exactly what a lag-k pipeline needs: the poster keeps
-/// going and only ever waits on a *bounded-age* marker.
+/// *different* channels overlap freely. Posting is fire-and-forget, and
+/// progress is observed through markers — `Mark()` snapshots the
+/// per-channel posted counts, and `WaitUntil(marker)` blocks until every
+/// channel has completed at least that much. This is exactly what a lag-k
+/// pipeline needs: the poster keeps going and only ever waits on a
+/// *bounded-age* marker. A poster that must wait for its own tasks only
+/// (the async engine) has them signal their own completion.
 ///
 /// `Post` is safe from any thread, including threads inside a ThreadPool
 /// region. The first exception a task throws is captured and rethrown from

@@ -15,7 +15,6 @@
 #include "src/experiments/error_vs_cost.h"
 #include "src/experiments/harness.h"
 #include "src/experiments/latent_space_theory.h"
-#include "src/experiments/parallel_harness.h"
 #include "src/graph/builder.h"
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
@@ -40,7 +39,6 @@
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 #include "src/walk/mhrw.h"
-#include "src/walk/parallel_walkers.h"
 #include "src/walk/random_jump.h"
 #include "src/walk/sampler.h"
 #include "src/walk/snowball.h"

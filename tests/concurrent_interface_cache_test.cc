@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -237,6 +239,65 @@ TEST(ConcurrentInterfaceCacheTest, ResetClearsWrapperAndBase) {
   EXPECT_EQ(cache.TotalRequests(), 0u);
   EXPECT_FALSE(cache.IsCached(1));
   EXPECT_FALSE(base.IsCached(1));
+}
+
+/// A plannable session with one backend per node parity: every miss is
+/// fetched, its apply task runs on lane `v % 2`, and node 0's apply task
+/// throws — the failure an async caller must see.
+class TwoLanePlanner final : public RestrictedInterface {
+ public:
+  using RestrictedInterface::RestrictedInterface;
+
+  std::optional<DeferredFetch> PlanFetchMisses(
+      std::span<const NodeId> misses) override {
+    DeferredFetch out;
+    for (NodeId v : misses) {
+      MarkFetched(v);
+      out.fetched.push_back(1);
+      out.first_backend.push_back(v % 2);
+      out.task_backend.push_back(v % 2);
+      out.task_trips.push_back(1);
+      out.apply_tasks.push_back([v] {
+        if (v == 0) throw std::runtime_error("apply failed");
+      });
+    }
+    return out;
+  }
+};
+
+TEST(ConcurrentInterfaceCacheTest, AsyncLanesOverlapDistinctBackends) {
+  // Two backends on two lanes: a frontier with one trip on each costs
+  // about one round trip of wall time, not two.
+  SocialNetwork net(Cycle(8));
+  TwoLanePlanner base(net);
+  base.SetSimulatedLatency(std::chrono::milliseconds(100));
+  ConcurrentInterfaceCache cache(base);
+  cache.SetFetchMode(FetchMode::kAsync, 2);
+  const NodeId frontier[] = {2, 3};
+  const auto start = std::chrono::steady_clock::now();
+  const auto results = cache.BatchQuery(frontier);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(results[0].has_value());
+  EXPECT_TRUE(results[1].has_value());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(190));
+  EXPECT_GE(elapsed, std::chrono::milliseconds(100));
+}
+
+TEST(ConcurrentInterfaceCacheTest, AsyncApplyErrorSurfacesAtTheJoin) {
+  SocialNetwork net(Cycle(8));
+  TwoLanePlanner base(net);
+  ConcurrentInterfaceCache cache(base);
+  cache.SetFetchMode(FetchMode::kAsync, 2);
+  // Node 0's task throws on lane 0; node 1's task on lane 1 still runs.
+  const NodeId bad[] = {0, 1};
+  EXPECT_THROW(cache.BatchQuery(bad), std::runtime_error);
+  // The join consumed the error: the next fetches on the same lanes
+  // succeed.
+  const NodeId good[] = {2, 3};
+  const auto results = cache.BatchQuery(good);
+  EXPECT_TRUE(results[0].has_value());
+  EXPECT_TRUE(results[1].has_value());
+  EXPECT_TRUE(cache.Query(4).has_value());
 }
 
 }  // namespace

@@ -154,10 +154,10 @@ TEST(CrawlSchedulerTest, MtoSpeculationMostlyHitsAndMissesAreCounted) {
   EXPECT_LT(hits, commits);
 }
 
-TEST(CrawlSchedulerTest, MatchesParallelWalkersPoolSemantics) {
-  // The scheduler generalizes walk/ParallelWalkers round-robin stepping:
-  // same seed, same per-walker Fork streams => same trajectories as a
-  // hand-rolled serial pool (the invariant parallel_walkers_test pins).
+TEST(CrawlSchedulerTest, MatchesSerialRoundRobinStepping) {
+  // The scheduler generalizes single-threaded round-robin stepping: same
+  // seed, same per-walker Fork streams => same trajectories and cost as a
+  // hand-rolled serial loop over one plain interface.
   SocialNetwork net(TestGraph());
   RestrictedInterface serial_iface(net);
   Rng parent(kSeed);
@@ -178,6 +178,87 @@ TEST(CrawlSchedulerTest, MatchesParallelWalkersPoolSemantics) {
   CrawlResult run = RunCrawl(net, config, 100, SrwFactory);
   EXPECT_EQ(run.positions, serial_positions);
   EXPECT_EQ(run.query_cost, serial_iface.QueryCost());
+}
+
+TEST(CrawlSchedulerTest, TrajectoryIndependentOfWalkerCount) {
+  // Walker i's stream is a function of (seed, i) only, so walkers 0 and 1
+  // walk the same trajectories whether 2, 4, or 8 walkers share the crawl.
+  SocialNetwork net(Barbell(11));
+  std::vector<std::vector<NodeId>> traces;
+  for (size_t count : {2u, 4u, 8u}) {
+    RestrictedInterface base(net);
+    ConcurrentInterfaceCache session(base);
+    CrawlScheduler scheduler(session, CrawlConfig{count, 2, false}, kSeed,
+                             SrwFactory);
+    std::vector<NodeId> trace;
+    for (int r = 0; r < 200; ++r) {
+      scheduler.RunRounds(1);
+      trace.push_back(scheduler.walker(0).current());
+      trace.push_back(scheduler.walker(1).current());
+    }
+    traces.push_back(std::move(trace));
+  }
+  EXPECT_EQ(traces[0], traces[1]);
+  EXPECT_EQ(traces[1], traces[2]);
+}
+
+TEST(CrawlSchedulerTest, ForkedStreamsProduceDistinctTrajectories) {
+  // Six walkers share one start node on a complete graph: only their
+  // streams differ, and no two trajectories may coincide.
+  SocialNetwork net(Complete(12));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache session(base);
+  CrawlScheduler scheduler(
+      session, CrawlConfig{6, 3, false}, kSeed,
+      [](RestrictedInterface& iface, Rng& rng, size_t) {
+        return std::make_unique<SimpleRandomWalk>(iface, rng, 0);
+      });
+  std::vector<std::vector<NodeId>> traj(scheduler.size());
+  for (int r = 0; r < 64; ++r) {
+    scheduler.RunRounds(1);
+    for (size_t i = 0; i < scheduler.size(); ++i) {
+      traj[i].push_back(scheduler.walker(i).current());
+    }
+  }
+  for (size_t i = 0; i < traj.size(); ++i) {
+    for (size_t j = i + 1; j < traj.size(); ++j) {
+      EXPECT_NE(traj[i], traj[j]) << "walkers " << i << " and " << j;
+    }
+  }
+}
+
+TEST(CrawlSchedulerTest, SharedSessionMergesCaches) {
+  // Paper Section VI: a region one walker paid for is free for the others.
+  // Four walkers on a 16-cycle pay at most 16 unique queries, not
+  // walkers x steps.
+  SocialNetwork net(Cycle(16));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache session(base);
+  CrawlScheduler scheduler(session, CrawlConfig{4, 2, false}, kSeed,
+                           SrwFactory);
+  scheduler.RunRounds(200);
+  EXPECT_LE(session.QueryCost(), 16u);
+  EXPECT_GE(session.QueryCost(), 4u);
+}
+
+TEST(CrawlSchedulerTest, CollectGathersOneWeightedSamplePerWalker) {
+  SocialNetwork net(Star(6));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache session(base);
+  CrawlScheduler scheduler(session, CrawlConfig{3, 1, false}, kSeed,
+                           SrwFactory);
+  std::vector<double> values, weights;
+  scheduler.Collect(
+      [](Sampler& s) { return static_cast<double>(s.CurrentDegree()); },
+      values, weights);
+  ASSERT_EQ(values.size(), 3u);
+  ASSERT_EQ(weights.size(), 3u);
+  EXPECT_DOUBLE_EQ(values[0], 5.0);   // walker 0 starts on the hub
+  EXPECT_DOUBLE_EQ(weights[0], 0.2);  // 1/deg
+  for (size_t i = 1; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(values[i], 1.0);
+    EXPECT_DOUBLE_EQ(weights[i], 1.0);
+  }
 }
 
 TEST(CrawlSchedulerTest, DiagnosticsAreRoundMajorInWalkerOrder) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -16,7 +17,7 @@ ScenarioConfig FaultyScenario() {
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0xABCD;
-  config.sampler = SamplerKind::kSrw;
+  config.program.name = "srw";
   config.num_walkers = 8;
   config.num_threads = 1;
   config.geweke_check_every = 20;
@@ -174,7 +175,7 @@ TEST(CrawlServiceTest, PeriodicCheckpointsDuringRunAreResumable) {
 
 TEST(CrawlServiceTest, MhrwScenarioAlsoResumesBitIdentically) {
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMhrw;
+  config.program.name = "mhrw";
   config.num_threads = 2;
   const ServiceResult uninterrupted = CrawlService(config).Run();
   const std::string path = TempCheckpointPath("mhrw");
@@ -188,7 +189,7 @@ TEST(CrawlServiceTest, MtoScenarioResumesBitIdenticallyAtEveryKillPoint) {
   // half-classified work in progress) and the sampling phase (frozen
   // overlay), under injected faults.
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   const ServiceResult uninterrupted = CrawlService(config).Run();
   const std::string path = TempCheckpointPath("mto_kill_points");
   for (size_t kill_after : {0u, 1u, 2u, 5u, 9u, 20u}) {
@@ -206,7 +207,7 @@ TEST(CrawlServiceTest, MtoScenarioIsBitIdenticalAcrossThreadsAndModes) {
   // threads and both stepping modes — and a coalesced multi-thread victim
   // resumes bit-identically.
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   const ServiceResult reference = CrawlService(config).Run();
   for (size_t threads : {2u, 8u}) {
     for (bool coalesce : {false, true}) {
@@ -228,7 +229,7 @@ TEST(CrawlServiceTest, MtoScenarioIsBitIdenticalAcrossThreadsAndModes) {
 
 TEST(CrawlServiceTest, MtoPeriodicCheckpointsDuringRunAreResumable) {
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   config.checkpoint.path = TempCheckpointPath("mto_periodic");
   config.checkpoint.every_units = 3;
   const ServiceResult full = CrawlService(config).Run();
@@ -264,6 +265,55 @@ TEST(CrawlServiceTest, LoadCheckpointGuards) {
   EXPECT_THROW(fresh.LoadCheckpoint(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW(fresh.LoadCheckpoint(path), std::runtime_error);
+}
+
+TEST(CrawlServiceTest, MtoOverlaysFreezeWhenBurnInEnds) {
+  // Sampling draws from a frozen overlay: every MTO walker's rewiring stops
+  // at the burn-in/sampling boundary, and not before.
+  ScenarioConfig config = FaultyScenario();
+  config.program.name = "mto";
+  config.num_threads = 4;
+  config.geweke_min_length = 400;  // burn-in spans several units
+  CrawlService service(config);
+  const auto all_frozen = [&] {
+    for (size_t i = 0; i < service.scheduler().size(); ++i) {
+      if (!dynamic_cast<MtoSampler&>(service.scheduler().walker(i)).frozen()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(service.Advance());
+  ASSERT_EQ(service.phase(), CrawlPhase::kBurnIn);
+  EXPECT_FALSE(all_frozen());
+  while (service.phase() == CrawlPhase::kBurnIn) ASSERT_TRUE(service.Advance());
+  EXPECT_TRUE(all_frozen());
+  const ServiceResult result = service.Run();
+  EXPECT_GT(result.final_estimate, 0.0);
+  EXPECT_LE(result.burn_in_query_cost, result.total_query_cost);
+}
+
+TEST(CrawlServiceTest, SampleCountRoundsUpToWholeCollectionRounds) {
+  ScenarioConfig config = FaultyScenario();
+  config.num_samples = 10;  // not a multiple of 8 walkers
+  const ServiceResult result = CrawlService(config).Run();
+  EXPECT_EQ(result.samples.size(), 16u);  // 2 rounds x 8 walkers
+  EXPECT_EQ(result.trace.size(), 16u);
+}
+
+TEST(CrawlServiceTest, SrwEstimatesAverageDegreeReasonably) {
+  ScenarioConfig config = FaultyScenario();
+  config.num_threads = 4;
+  config.num_samples = 400;
+  config.backends.clear();  // one perfect key
+  CrawlService service(config);
+  const ServiceResult result = service.Run();
+  EXPECT_TRUE(result.burn_in_converged);
+  const double truth = service.network().TrueAverageDegree();
+  EXPECT_LT(std::abs(result.final_estimate - truth) / truth, 0.35);
+  for (size_t i = 1; i < result.trace.size(); ++i) {
+    EXPECT_GE(result.trace[i].query_cost, result.trace[i - 1].query_cost);
+  }
 }
 
 TEST(CrawlServiceTest, BudgetedScenarioStopsAtPoolCap) {

@@ -1,4 +1,4 @@
-// Tests for the Section VI extensions: parallel walkers, the BFS (snowball)
+// Tests for the Section VI extensions: parallel walks, the BFS (snowball)
 // baseline, and collision-based network-size estimation.
 
 #include <gtest/gtest.h>
@@ -10,91 +10,38 @@
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/mcmc/diagnostics.h"
-#include "src/walk/parallel_walkers.h"
+#include "src/runtime/concurrent_interface_cache.h"
+#include "src/runtime/crawl_scheduler.h"
 #include "src/walk/snowball.h"
 #include "src/walk/srw.h"
 
 namespace mto {
 namespace {
 
-TEST(ParallelWalkersTest, SharedCacheSharesCost) {
-  SocialNetwork net(Barbell(6));
-  RestrictedInterface iface(net);
-  Rng rng(1);
-  std::vector<std::unique_ptr<Sampler>> ws;
-  for (int i = 0; i < 4; ++i) {
-    ws.push_back(std::make_unique<SimpleRandomWalk>(iface, rng, 0));
-  }
-  ParallelWalkers pool(std::move(ws));
-  for (int i = 0; i < 200; ++i) pool.StepAll();
-  // Four walkers on a 12-node graph: unique cost stays <= 12 regardless of
-  // the 800 total steps — the cache is shared.
-  EXPECT_LE(iface.QueryCost(), 12u);
-  EXPECT_EQ(pool.size(), 4u);
-}
-
-TEST(ParallelWalkersTest, PositionsAndStepOne) {
-  SocialNetwork net(Cycle(8));
-  RestrictedInterface iface(net);
-  Rng rng(2);
-  std::vector<std::unique_ptr<Sampler>> ws;
-  ws.push_back(std::make_unique<SimpleRandomWalk>(iface, rng, 0));
-  ws.push_back(std::make_unique<SimpleRandomWalk>(iface, rng, 4));
-  ParallelWalkers pool(std::move(ws));
-  auto pos = pool.Positions();
-  EXPECT_EQ(pos[0], 0u);
-  EXPECT_EQ(pos[1], 4u);
-  pool.StepOne(0);
-  EXPECT_NE(pool.Positions()[0], pos[0]);
-  EXPECT_EQ(pool.Positions()[1], 4u);  // untouched
-}
-
-TEST(ParallelWalkersTest, EmptyOrNullThrows) {
-  EXPECT_THROW(ParallelWalkers({}), std::invalid_argument);
-  std::vector<std::unique_ptr<Sampler>> ws;
-  ws.push_back(nullptr);
-  EXPECT_THROW(ParallelWalkers(std::move(ws)), std::invalid_argument);
-}
-
-TEST(ParallelWalkersTest, MultiChainDiagnosticConverges) {
+TEST(ParallelWalksTest, MultiChainDiagnosticConverges) {
   // The point of parallel walks: R-hat over per-walker degree traces
   // certifies convergence without a single long chain.
   SocialNetwork net(MakeDataset("epinions_small"));
-  RestrictedInterface iface(net);
-  Rng rng(3);
-  std::vector<std::unique_ptr<Sampler>> ws;
-  for (int i = 0; i < 4; ++i) {
-    ws.push_back(std::make_unique<MtoSampler>(
-        iface, rng, static_cast<NodeId>(rng.UniformInt(net.num_users()))));
-  }
-  ParallelWalkers pool(std::move(ws));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache session(base);
+  CrawlScheduler scheduler(
+      session, CrawlConfig{4, 2, false}, /*seed=*/3,
+      [](RestrictedInterface& iface, Rng& rng, size_t) {
+        return std::make_unique<MtoSampler>(
+            iface, rng, static_cast<NodeId>(rng.UniformInt(iface.num_users())));
+      });
   MultiChainMonitor monitor(4, 1.15, 100, 25);
   bool converged = false;
+  std::vector<double> diagnostics;
   for (int step = 0; step < 4000 && !converged; ++step) {
-    for (size_t c = 0; c < pool.size(); ++c) {
-      pool.StepOne(c);
-      monitor.Add(c, pool.walker(c).CurrentDegreeForDiagnostic());
+    diagnostics.clear();
+    scheduler.RunRounds(1, &diagnostics);
+    for (size_t c = 0; c < scheduler.size(); ++c) {
+      monitor.Add(c, diagnostics[c]);
     }
     converged = monitor.Converged();
   }
   EXPECT_TRUE(converged);
-}
-
-TEST(ParallelWalkersTest, CollectGathersWeightedSamples) {
-  SocialNetwork net(Star(6));
-  RestrictedInterface iface(net);
-  Rng rng(4);
-  std::vector<std::unique_ptr<Sampler>> ws;
-  ws.push_back(std::make_unique<SimpleRandomWalk>(iface, rng, 0));
-  ws.push_back(std::make_unique<SimpleRandomWalk>(iface, rng, 1));
-  ParallelWalkers pool(std::move(ws));
-  std::vector<double> values, weights;
-  pool.Collect([](Sampler& s) { return double(s.CurrentDegree()); }, values,
-               weights);
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_DOUBLE_EQ(values[0], 5.0);   // hub
-  EXPECT_DOUBLE_EQ(weights[0], 0.2);  // 1/deg
-  EXPECT_DOUBLE_EQ(values[1], 1.0);
 }
 
 TEST(SnowballTest, VisitsEachNodeOnce) {

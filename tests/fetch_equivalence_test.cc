@@ -3,7 +3,7 @@
 // mode, thread count, and fault setting, an async crawl must produce
 // bit-identical samples, trace, estimates, costs, and per-backend ledgers
 // to the sync crawl, because both execute the same plan — async merely
-// overlaps the deferred per-backend ledger/latency work.
+// runs the deferred per-backend ledger/latency work on per-backend lanes.
 //
 // Ledger caveat, pinned precisely: with token-bucket pacing enabled the
 // pacing fields (bucket level, clocks, waits) depend on per-backend arrival
@@ -56,9 +56,8 @@ ScenarioConfig BaseScenario(const Sweep& sweep) {
   config.num_walkers = 8;
   config.num_threads = sweep.threads;
   config.coalesce_frontier = sweep.stepping != Stepping::kPlain;
-  config.sampler = sweep.stepping == Stepping::kSpeculative
-                       ? SamplerKind::kMto
-                       : SamplerKind::kSrw;
+  config.program.name =
+      sweep.stepping == Stepping::kSpeculative ? "mto" : "srw";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 120;
@@ -180,6 +179,31 @@ TEST(FetchEquivalenceExtrasTest, PacingLedgersMatchSingleThreaded) {
   ExpectLedgersBitIdentical(sync.ledgers, async.ledgers);
   // The pacing path actually fired, or this test pins nothing.
   EXPECT_GT(sync.ledgers.ledgers[1].stats.pacing_waits, 0u);
+}
+
+TEST(FetchEquivalenceExtrasTest, AsyncWithSharedLanesMatchesSync) {
+  // Two lanes for three backends: backends 0 and 2 share lane 0, so their
+  // apply tasks interleave on one FIFO worker while each async fetch still
+  // joins only its own tasks. Results and full ledgers stay bitwise equal
+  // to sync — at 4 threads without pacing, and at 1 thread with pacing on
+  // a shared-lane backend (where ledger order is observable).
+  Sweep sweep{4, Stepping::kSpeculative, true};
+  ScenarioConfig config = BaseScenario(sweep);
+  config.fetch_threads = 2;
+  const RunOutput sync = RunWithMode(config, FetchMode::kSync);
+  const RunOutput async = RunWithMode(config, FetchMode::kAsync);
+  ExpectResultsBitIdentical(sync.result, async.result);
+  ExpectLedgersBitIdentical(sync.ledgers, async.ledgers);
+
+  ScenarioConfig paced = BaseScenario(Sweep{1, Stepping::kCoalesced, true});
+  paced.fetch_threads = 2;
+  paced.backends[2].rate_per_sec = 1000.0;
+  paced.backends[2].burst = 4.0;
+  const RunOutput paced_sync = RunWithMode(paced, FetchMode::kSync);
+  const RunOutput paced_async = RunWithMode(paced, FetchMode::kAsync);
+  ExpectResultsBitIdentical(paced_sync.result, paced_async.result);
+  ExpectLedgersBitIdentical(paced_sync.ledgers, paced_async.ledgers);
+  EXPECT_GT(paced_sync.ledgers.ledgers[2].stats.pacing_waits, 0u);
 }
 
 TEST(FetchEquivalenceExtrasTest, PacingIsArrivalOrderDependent) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/estimate/estimators.h"
 #include "src/experiments/error_vs_cost.h"
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
+#include "src/walk/walk_program.h"
 
 namespace mto {
 namespace {
@@ -15,30 +18,24 @@ SocialNetwork SmallNetwork() {
   return SocialNetwork::WithSyntheticProfiles(HolmeKim(800, 4, 0.6, rng), 7);
 }
 
-TEST(HarnessTest, SamplerNamesMatchPaper) {
-  EXPECT_EQ(SamplerName(SamplerKind::kSrw), "SRW");
-  EXPECT_EQ(SamplerName(SamplerKind::kMhrw), "MHRW");
-  EXPECT_EQ(SamplerName(SamplerKind::kRandomJump), "RJ");
-  EXPECT_EQ(SamplerName(SamplerKind::kMto), "MTO");
-}
-
-TEST(HarnessTest, MakeSamplerProducesEachKind) {
+TEST(HarnessTest, PaperProgramsCarryFigureLegendNames) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface iface(net);
   Rng rng(1);
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMhrw,
-                    SamplerKind::kRandomJump, SamplerKind::kMto}) {
-    auto s = MakeSampler(kind, iface, rng, 0, MtoConfig{});
+  const std::pair<const char*, const char*> programs[] = {
+      {"srw", "SRW"}, {"mhrw", "MHRW"}, {"random_jump", "RJ"}, {"mto", "MTO"}};
+  for (const auto& [program, legend] : programs) {
+    auto s = GetWalkProgram(program).MakeWalker(iface, rng, 0, {});
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->name(), SamplerName(kind));
+    EXPECT_EQ(s->name(), legend);
   }
 }
 
-TEST(HarnessTest, MakeSamplerClampsStart) {
+TEST(HarnessTest, RegistryClampsStart) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface iface(net);
   Rng rng(1);
-  auto s = MakeSampler(SamplerKind::kSrw, iface, rng, 999, MtoConfig{});
+  auto s = GetWalkProgram("srw").MakeWalker(iface, rng, 999, {});
   EXPECT_EQ(s->current(), 0u);
 }
 
@@ -49,7 +46,7 @@ TEST(HarnessTest, AttributeValuesComeFromProfiles) {
   SocialNetwork net(Path(3), profiles);
   RestrictedInterface iface(net);
   Rng rng(2);
-  auto s = MakeSampler(SamplerKind::kSrw, iface, rng, 0, MtoConfig{});
+  auto s = GetWalkProgram("srw").MakeWalker(iface, rng, 0, {});
   EXPECT_DOUBLE_EQ(AttributeValue(*s, Attribute::kDegree), 1.0);
   EXPECT_DOUBLE_EQ(AttributeValue(*s, Attribute::kDescriptionLength), 55.0);
   EXPECT_DOUBLE_EQ(AttributeValue(*s, Attribute::kAge), 30.0);
@@ -97,7 +94,7 @@ TEST(HarnessTest, SrwEstimatesAverageDegree) {
 TEST(HarnessTest, MtoEstimatesAverageDegree) {
   SocialNetwork net = SmallNetwork();
   WalkRunConfig config;
-  config.kind = SamplerKind::kMto;
+  config.kind = "mto";
   config.num_samples = 2000;
   config.thinning = 3;
   config.mto.weight_mode = OverlayDegreeMode::kExact;
@@ -122,6 +119,22 @@ TEST(HarnessTest, EmptyNetworkThrows) {
   SocialNetwork net{Graph()};
   EXPECT_THROW(RunAggregateEstimation(net, WalkRunConfig{}, 1),
                std::invalid_argument);
+}
+
+TEST(HarnessTest, UnknownProgramThrows) {
+  SocialNetwork net(Cycle(8));
+  WalkRunConfig config;
+  config.kind = "bogus";
+  EXPECT_THROW(RunAggregateEstimation(net, config, 1), std::invalid_argument);
+}
+
+TEST(HarnessKlTest, ProgramWithoutIdealDistributionThrows) {
+  SocialNetwork net(Cycle(8));
+  WalkRunConfig config;
+  config.kind = "node2vec";
+  config.num_samples = 10;
+  config.max_burn_in_steps = 10;
+  EXPECT_THROW(RunKlExperiment(net, config, 1), std::invalid_argument);
 }
 
 TEST(HarnessKlTest, SrwKlSmallOnLongRun) {
@@ -153,7 +166,7 @@ TEST(HarnessKlTest, MtoIdealUsesOverlayDegrees) {
   Rng rng(13);
   SocialNetwork net(HolmeKim(200, 4, 0.6, rng));
   WalkRunConfig config;
-  config.kind = SamplerKind::kMto;
+  config.kind = "mto";
   config.num_samples = 50000;
   config.thinning = 2;
   auto result = RunKlExperiment(net, config, 5);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace mto {
 namespace {
@@ -80,6 +81,26 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(ParseJson("1 2"), std::runtime_error);  // trailing content
   EXPECT_THROW(ParseJson("\"unterminated"), std::runtime_error);
   EXPECT_THROW(ParseJson("{\"a\": 1, \"a\": 2}"), std::runtime_error);
+}
+
+TEST(JsonTest, NestingDepthIsBounded) {
+  // A document of 100,000 '[' would recurse once per bracket; the parser
+  // must refuse it with a parse error instead of overflowing the stack.
+  try {
+    ParseJson(std::string(100000, '['));
+    ADD_FAILURE() << "accepted 100000 nested arrays";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ParseJson(std::string(100000, '{')), std::runtime_error);
+  // Exactly at the bound still parses.
+  const std::string deepest = std::string(kMaxJsonDepth, '[') +
+                              std::string(kMaxJsonDepth, ']');
+  EXPECT_NO_THROW(ParseJson(deepest));
+  const std::string too_deep = "[" + deepest + "]";
+  EXPECT_THROW(ParseJson(too_deep), std::runtime_error);
 }
 
 TEST(JsonTest, TypeMismatchThrows) {

@@ -40,8 +40,7 @@ TEST(MtoAblationConfigTest, EveryKnobRoundTripsThroughJson) {
     }
   })");
   EXPECT_TRUE(config.mto_configured);
-  EXPECT_EQ(config.ProgramName(), "mto");
-  EXPECT_EQ(config.sampler, SamplerKind::kMto);  // legacy enum stays in sync
+  EXPECT_EQ(config.program.name, "mto");
   EXPECT_FALSE(config.mto.enable_removal);
   EXPECT_EQ(config.mto.criterion_basis, CriterionBasis::kOriginal);
   EXPECT_EQ(config.mto.min_overlay_degree, 3u);
@@ -54,7 +53,7 @@ TEST(MtoAblationConfigTest, EveryKnobRoundTripsThroughJson) {
   EXPECT_EQ(config.mto.max_inner_iterations, 64u);
   // The remaining enum spellings parse too.
   EXPECT_EQ(ScenarioConfig::FromJsonText(
-                R"({"sampler": "mto",
+                R"({"program": {"name": "mto"},
                     "mto": {"weight_mode": "probe",
                             "criterion_basis": "overlay"}})")
                 .mto.weight_mode,
@@ -72,11 +71,11 @@ TEST(MtoAblationConfigTest, UnknownKeysFailLoudly) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"mto": {"criterion_basis": "imaginary"},
-                       "sampler": "mto"})"),
+                       "program": {"name": "mto"}})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"mto": {"weight_mode": "psychic"},
-                       "sampler": "mto"})"),
+                       "program": {"name": "mto"}})"),
                std::invalid_argument);
 }
 
@@ -88,23 +87,13 @@ TEST(MtoAblationConfigTest, MtoBlockRequiresTheMtoProgram) {
   // ...including via the implicit default program (srw).
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"mto": {"lazy": true}})"),
                std::invalid_argument);
-  // Both selection spellings work when the program *is* mto.
-  EXPECT_NO_THROW(ScenarioConfig::FromJsonText(
-      R"({"sampler": "mto", "mto": {"lazy": true}})"));
   EXPECT_NO_THROW(ScenarioConfig::FromJsonText(
       R"({"program": {"name": "mto"}, "mto": {"lazy": true}})"));
-}
-
-TEST(MtoAblationConfigTest, SamplerAndProgramAreExclusiveAliases) {
-  EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"sampler": "mto", "program": {"name": "mto"}})"),
-               std::invalid_argument);
 }
 
 TEST(MtoAblationConfigTest, EveryKnobLandsInTheFingerprint) {
   ScenarioConfig base;
   base.program.name = "mto";
-  base.sampler = SamplerKind::kMto;
   base.mto_configured = true;
   const uint64_t reference = base.Fingerprint();
 
@@ -150,7 +139,6 @@ ScenarioConfig AblationScenario() {
   config.dataset = "epinions_small";
   config.seed = 0xAB1A7E;
   config.program.name = "mto";
-  config.sampler = SamplerKind::kMto;
   config.mto_configured = true;
   config.num_walkers = 8;
   config.geweke_check_every = 20;

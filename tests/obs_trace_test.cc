@@ -29,7 +29,7 @@ ScenarioConfig ObservedScenario(const std::string& tag) {
   config.num_walkers = 8;
   config.num_threads = 4;
   config.coalesce_frontier = true;
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 80;
@@ -60,7 +60,8 @@ TEST(ObsTraceTest, RunReportRoundTripsAndCoversTheRun) {
 
   const JsonValue report = ParseJsonFile(config.observability.report_path);
   EXPECT_EQ(report.At("scenario").At("dataset").AsString(), config.dataset);
-  EXPECT_EQ(report.At("scenario").At("sampler").AsString(), "mto");
+  EXPECT_EQ(report.At("scenario").At("program").AsString(), "mto");
+  EXPECT_FALSE(report.At("scenario").Has("sampler"));
   EXPECT_EQ(report.At("result").At("total_query_cost").AsUint(),
             result.total_query_cost);
   EXPECT_EQ(report.At("result").At("backend_requests").AsUint(),

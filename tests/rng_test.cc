@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -237,6 +238,33 @@ TEST(RngTest, ForkProducesIndependentStream) {
     if (child.Next() == child2.Next()) ++same;
   }
   EXPECT_LT(same, 4);
+}
+
+TEST(RngTest, ForkedStreamsAreStatisticallyDecorrelated) {
+  // Per-walker streams must not trail each other: Pearson correlation of
+  // the raw uniforms across 16 pairs of sibling forks stays small.
+  Rng parent(0xC0FFEE);
+  const size_t kN = 4096;
+  for (uint64_t pair = 0; pair < 32; pair += 2) {
+    Rng a = parent.Fork(pair);
+    Rng b = parent.Fork(pair + 1);
+    double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
+    for (size_t i = 0; i < kN; ++i) {
+      const double x = a.UniformDouble();
+      const double y = b.UniformDouble();
+      sx += x;
+      sy += y;
+      sxx += x * x;
+      syy += y * y;
+      sxy += x * y;
+    }
+    const double n = static_cast<double>(kN);
+    const double cov = sxy / n - (sx / n) * (sy / n);
+    const double vx = sxx / n - (sx / n) * (sx / n);
+    const double vy = syy / n - (sy / n) * (sy / n);
+    EXPECT_LT(std::abs(cov / std::sqrt(vx * vy)), 0.08)
+        << "streams " << pair << "," << pair + 1;
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ namespace {
 constexpr const char* kFullDocument = R"({
   "dataset": "epinions_small",
   "seed": 42,
-  "sampler": "mhrw",
+  "program": {"name": "mhrw"},
   "attribute": "description_length",
   "walkers": 16,
   "threads": 4,
@@ -23,7 +23,7 @@ constexpr const char* kFullDocument = R"({
   "num_samples": 64,
   "thinning": 10,
   "total_budget": 9000,
-  "strategy": "budget_aware",
+  "routing": "budget_aware",
   "fault_seed": 1337,
   "retry": {"max_attempts_per_backend": 5, "base_backoff_us": 2000,
             "multiplier": 1.5, "max_backoff_us": 50000, "jitter": 0.25},
@@ -41,7 +41,7 @@ TEST(ScenarioConfigTest, ParsesFullDocument) {
   const ScenarioConfig config = ScenarioConfig::FromJsonText(kFullDocument);
   EXPECT_EQ(config.dataset, "epinions_small");
   EXPECT_EQ(config.seed, 42u);
-  EXPECT_EQ(config.sampler, SamplerKind::kMhrw);
+  EXPECT_EQ(config.program.name, "mhrw");
   EXPECT_EQ(config.attribute, Attribute::kDescriptionLength);
   EXPECT_EQ(config.num_walkers, 16u);
   EXPECT_EQ(config.num_threads, 4u);
@@ -68,7 +68,7 @@ TEST(ScenarioConfigTest, ParsesFullDocument) {
 
 TEST(ScenarioConfigTest, EmptyDocumentYieldsDefaults) {
   const ScenarioConfig config = ScenarioConfig::FromJsonText("{}");
-  EXPECT_EQ(config.sampler, SamplerKind::kSrw);
+  EXPECT_EQ(config.program.name, "srw");
   EXPECT_EQ(config.num_walkers, 8u);
   EXPECT_TRUE(config.backends.empty());
   EXPECT_EQ(config.strategy, BackendSelection::kSharded);
@@ -98,40 +98,74 @@ TEST(ScenarioConfigTest, UnknownKeysAreRejected) {
                    R"({"program": {"name": "srw", "nmae": "srw"}})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"sampler": "mto", "mto": {"lzay": true}})"),
+                   R"({"program": {"name": "mto"}, "mto": {"lzay": true}})"),
                std::invalid_argument);
+}
+
+TEST(ScenarioConfigTest, RemovedSelectorKeysAreUnknown) {
+  // "program" is the one program selector and "routing" the one routing
+  // key; the retired aliases fail like any typo, with the unknown-key
+  // error naming them.
+  for (const char* doc : {R"({"sampler": "srw"})", R"({"strategy": "sharded"})",
+                          R"({"sampler": "mto", "program": {"name": "mto"}})"}) {
+    try {
+      ScenarioConfig::FromJsonText(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ScenarioConfigTest, JumpProbabilityRequiresRandomJump) {
+  // Like program.p/q/restart: a knob the program never reads is rejected,
+  // so it can never move the fingerprint of a crawl that ignores it.
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"jump_probability": 0.3})"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"program": {"name": "mto"}, "jump_probability": 0.3})"),
+               std::invalid_argument);
+  const ScenarioConfig rj = ScenarioConfig::FromJsonText(
+      R"({"program": {"name": "rj"}, "jump_probability": 0.3})");
+  EXPECT_DOUBLE_EQ(rj.jump_probability, 0.3);
+  EXPECT_THROW(
+      ScenarioConfig::FromJsonText(
+          R"({"program": {"name": "random_jump"}, "jump_probability": 1.5})"),
+      std::invalid_argument);
+  // The knob is behavioral for random_jump.
+  ScenarioConfig other = rj;
+  other.jump_probability = 0.5;
+  EXPECT_NE(rj.Fingerprint(), other.Fingerprint());
 }
 
 TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
   // The "program" object resolves through the WalkProgram registry and
-  // carries per-program parameters; the legacy enum follows when a legacy
-  // name is chosen.
+  // carries per-program parameters.
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
         R"({"program": {"name": "node2vec", "p": 0.5, "q": 2.0}})");
-    EXPECT_EQ(config.ProgramName(), "node2vec");
+    EXPECT_EQ(config.program.name, "node2vec");
     EXPECT_DOUBLE_EQ(config.program.p, 0.5);
     EXPECT_DOUBLE_EQ(config.program.q, 2.0);
   }
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
         R"({"program": {"name": "pagerank", "restart": 0.3}})");
-    EXPECT_EQ(config.ProgramName(), "pagerank");
+    EXPECT_EQ(config.program.name, "pagerank");
     EXPECT_DOUBLE_EQ(config.program.restart, 0.3);
   }
   {
     const ScenarioConfig config =
         ScenarioConfig::FromJsonText(R"({"program": {"name": "mhrw"}})");
-    EXPECT_EQ(config.ProgramName(), "mhrw");
-    EXPECT_EQ(config.sampler, SamplerKind::kMhrw);
+    EXPECT_EQ(config.program.name, "mhrw");
   }
   // The "rj" alias canonicalizes, so fingerprints never depend on spelling.
   EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"program": {"name": "rj"}})")
-                .ProgramName(),
+                .program.name,
             "random_jump");
   // A program name must name a registered program; a knob must belong to
-  // the chosen program; name is required; and the legacy "sampler" key is
-  // an exclusive alias.
+  // the chosen program; and name is required.
   EXPECT_THROW(
       ScenarioConfig::FromJsonText(R"({"program": {"name": "deepwalk"}})"),
       std::invalid_argument);
@@ -142,9 +176,6 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
                    R"({"program": {"name": "node2vec", "restart": 0.1}})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"program": {"p": 0.5}})"),
-               std::invalid_argument);
-  EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"sampler": "srw", "program": {"name": "srw"}})"),
                std::invalid_argument);
   // Out-of-range program parameters fail validation.
   EXPECT_THROW(ScenarioConfig::FromJsonText(
@@ -158,8 +189,9 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
 TEST(ScenarioConfigTest, SemanticValidation) {
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"walkers": 0})"),
                std::invalid_argument);
-  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"sampler": "bogus"})"),
-               std::invalid_argument);
+  EXPECT_THROW(
+      ScenarioConfig::FromJsonText(R"({"program": {"name": "bogus"}})"),
+      std::invalid_argument);
   // Checkpointing requires a path...
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"checkpoint": {"every_units": 2}})"),
@@ -168,12 +200,10 @@ TEST(ScenarioConfigTest, SemanticValidation) {
   // checkpointed MTO scenario is a valid configuration.
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
-        R"({"sampler": "mto", "checkpoint": {"path": "x.ckpt"}})");
-    EXPECT_EQ(config.sampler, SamplerKind::kMto);
+        R"({"program": {"name": "mto"}, "checkpoint": {"path": "x.ckpt"}})");
+    EXPECT_EQ(config.program.name, "mto");
     EXPECT_EQ(config.checkpoint.path, "x.ckpt");
   }
-  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"sampler": "mto"})").sampler,
-            SamplerKind::kMto);
 }
 
 TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
@@ -208,12 +238,7 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // Program parameters are behavioral: a node2vec crawl with different
   // bias, or a pagerank crawl with a different restart, is a different
-  // experiment. (The program *name* is mixed as the registry string, so
-  // "sampler": "mhrw" and "program": {"name": "mhrw"} fingerprint alike —
-  // asserted via `a`, which uses the legacy key.)
-  ScenarioConfig via_program = a;
-  via_program.program.name = "mhrw";
-  EXPECT_EQ(a.Fingerprint(), via_program.Fingerprint());
+  // experiment.
   b = a;
   b.program.name = "node2vec";
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
@@ -230,16 +255,11 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   EXPECT_NE(b.Fingerprint(), pagerank_reference);
 }
 
-TEST(ScenarioConfigTest, RoutingIsAnAliasOfStrategy) {
+TEST(ScenarioConfigTest, RoutingSelectsTheBackendPolicy) {
   EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"routing": "rendezvous"})")
                 .strategy,
             BackendSelection::kRendezvous);
-  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"strategy": "rendezvous"})")
-                .strategy,
-            BackendSelection::kRendezvous);
-  // Naming both is a contradiction, even when the values agree.
-  EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"strategy": "sharded", "routing": "sharded"})"),
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"routing": "random"})"),
                std::invalid_argument);
 }
 
