@@ -11,6 +11,10 @@ Inputs are two directories (--old, --new), each holding the artifacts the CI
   * bench_perf_micro.json — google-benchmark format; a regression is a rise
     in real_time beyond --max-time-ratio.
 
+Two warn-only checks read the new throughput artifact alone: observability
+overhead (metrics-ablation rows vs obs-off) and thread scaling (cpu-bound
+free-run rows with more than one thread vs the 1-thread row).
+
 Missing files or unmatched rows are skipped with a note (bench sets evolve).
 In --mode=warn (default, used by CI) regressions print GitHub ::warning::
 annotations and exit 0; --mode=fail prints ::error:: and exits 1. Perf on
@@ -108,6 +112,35 @@ def check_metrics_overhead(rows, max_overhead):
     return warnings, compared
 
 
+def check_thread_scaling(rows):
+    """Returns (warnings, compared) for the cpu-bound free-run rows.
+
+    Intra-artifact check: for each (walkers, batch) config, every free-run
+    row with more than one thread must reach at least the 1-thread row's
+    steps_per_sec. A shared line on the lock-free hit path once made four
+    threads 2.6x slower than one; this flags that collapse if it returns.
+    """
+    free_run = [r for r in rows if r.get("section") == "cpu-bound"
+                and r.get("mode") == "free-run" and r.get("steps_per_sec")]
+    base_by_cfg = {(r.get("walkers"), r.get("batch")): r
+                   for r in free_run if r.get("threads") == 1}
+    warnings, compared = [], 0
+    for row in free_run:
+        if (row.get("threads") or 0) <= 1:
+            continue
+        cfg = (row.get("walkers"), row.get("batch"))
+        base = base_by_cfg.get(cfg)
+        if base is None:
+            continue
+        compared += 1
+        if row["steps_per_sec"] < base["steps_per_sec"]:
+            warnings.append(
+                "thread scaling collapse %s: %d threads %.0f < 1 thread %.0f "
+                "steps/sec" % (cfg, row["threads"], row["steps_per_sec"],
+                               base["steps_per_sec"]))
+    return warnings, compared
+
+
 def load_json(directory, name):
     path = os.path.join(directory, name)
     if not os.path.isfile(path):
@@ -134,22 +167,25 @@ def run_gate(args):
         regressions += r
         compared += c
 
-    # Observability overhead is checked within the new artifact alone and
-    # stays warn-only in every mode: shared-runner noise on a 3% threshold
-    # would make a hard gate flaky, and the regression gate above already
-    # catches order-of-magnitude mistakes.
-    obs_warnings = []
+    # Observability overhead and thread scaling are checked within the new
+    # artifact alone and stay warn-only in every mode: shared-runner noise
+    # (and runners with fewer cores than threads) would make a hard gate
+    # flaky, and the regression gate above already catches
+    # order-of-magnitude mistakes.
+    warnings = []
     if new_tp is not None:
-        obs_warnings, obs_compared = check_metrics_overhead(
-            new_tp, args.max_obs_overhead)
-        compared += obs_compared
+        for w, c in (check_metrics_overhead(new_tp, args.max_obs_overhead),
+                     check_thread_scaling(new_tp)):
+            warnings += w
+            compared += c
 
-    print("perf gate: compared %d series, %d regression(s), %d overhead "
-          "warning(s)" % (compared, len(regressions), len(obs_warnings)))
+    print("perf gate: compared %d series, %d regression(s), %d "
+          "intra-artifact warning(s)"
+          % (compared, len(regressions), len(warnings)))
     marker = "::error::" if args.mode == "fail" else "::warning::"
     for regression in regressions:
         print(marker + "perf regression: " + regression)
-    for warning in obs_warnings:
+    for warning in warnings:
         print("::warning::" + warning)
     if regressions and args.mode == "fail":
         return 1
@@ -206,6 +242,28 @@ def self_test():
     w, c = check_metrics_overhead(ablation, 0.10)
     assert c == 2 and not w, (w, c)
     w, c = check_metrics_overhead(ablation[1:], 0.03)  # no obs-off baseline
+    assert c == 0 and not w, (w, c)
+
+    def free_run(threads, steps_per_sec):
+        return {"section": "cpu-bound", "mode": "free-run", "walkers": 64,
+                "threads": threads, "batch": 1,
+                "steps_per_sec": steps_per_sec}
+    scaling = [
+        free_run(1, 25e6), free_run(2, 45e6), free_run(4, 80e6),
+        # Other sections and modes never enter the scaling comparison.
+        {"section": "latency-bound", "mode": "free-run", "walkers": 64,
+         "threads": 4, "batch": 1, "steps_per_sec": 1.0},
+        {"section": "cpu-bound", "mode": "round-robin", "walkers": 64,
+         "threads": 1, "batch": 1, "steps_per_sec": 90e6},
+    ]
+    w, c = check_thread_scaling(scaling)
+    assert c == 2 and not w, (w, c)
+    collapse = [free_run(1, 25e6), free_run(2, 26e6), free_run(4, 9.5e6),
+                free_run(8, 9.8e6)]
+    w, c = check_thread_scaling(collapse)
+    assert c == 3 and len(w) == 2, (w, c)
+    assert "4 threads" in w[0] and "8 threads" in w[1], w
+    w, c = check_thread_scaling(collapse[1:])  # no 1-thread baseline
     assert c == 0 and not w, (w, c)
 
     print("perf gate self-test: OK")

@@ -3,12 +3,6 @@
 namespace mto {
 namespace obs {
 
-size_t ObsThreadId() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 uint64_t Histogram::BucketUpperBound(size_t i) {
   if (i == 0) return 0;
   if (i >= 64) return UINT64_MAX;

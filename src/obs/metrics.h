@@ -19,7 +19,13 @@ namespace obs {
 /// Small dense per-thread id for shard selection: the first time a thread
 /// asks, it draws the next id from a process-global counter. Ids are never
 /// reused, which is fine — they only ever get masked down to a shard index.
-size_t ObsThreadId();
+/// Inline so every sharded increment pays a TLS load, not a call; the
+/// function-local statics are one object program-wide (inline linkage).
+inline size_t ObsThreadId() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t id = next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
 
 /// Monotonically increasing event counter, sharded across cache lines so
 /// concurrent increments from different threads never contend. `Add` is a
@@ -45,6 +51,16 @@ class Counter {
       total += shard.value.load(std::memory_order_relaxed);
     }
     return total;
+  }
+
+  /// Makes `Value()` read exactly `value`. Not safe against concurrent
+  /// `Add`: only for owners that rewind a counter at quiescent points
+  /// (session restore/reset).
+  void Set(uint64_t value) {
+    for (Shard& shard : shards_) {
+      shard.value.store(0, std::memory_order_relaxed);
+    }
+    shards_[0].value.store(value, std::memory_order_relaxed);
   }
 
  private:

@@ -495,15 +495,15 @@ void ConcurrentInterfaceCache::PipelinedFetch(
       throw std::invalid_argument("PipelinedFetch: unknown user id");
     }
   }
+  if (!PipelineActive()) {
+    throw std::logic_error("PipelinedFetch: pipeline inactive");
+  }
   // Mirror BatchQuery's request accounting: one request per frontier slot.
-  total_requests_.fetch_add(frontier.size(), std::memory_order_relaxed);
+  total_requests_.Add(frontier.size());
   if (frontier.empty()) return;
   // Every frontier slot goes to the planner: all misses by construction.
   ObsAdd(metrics_.misses, frontier.size());
   ObsRecord(metrics_.miss_batch, frontier.size());
-  if (!PipelineActive()) {
-    throw std::logic_error("PipelinedFetch: pipeline inactive");
-  }
 
   const auto fetched =
       LaneFetch(frontier, /*inline_wire=*/false, /*join=*/false);
@@ -664,7 +664,7 @@ SessionSnapshot ConcurrentInterfaceCache::SnapshotSession() const {
     std::lock_guard<std::mutex> lock(base_mutex_);
     snapshot = base_->SnapshotSession();
   }
-  snapshot.total_requests = total_requests_.load(std::memory_order_relaxed);
+  snapshot.total_requests = TotalRequests();
   return snapshot;
 }
 
@@ -680,7 +680,7 @@ void ConcurrentInterfaceCache::RestoreSession(
     cached_flags_[v].store(base_->IsCached(v) ? 1 : 0,
                            std::memory_order_relaxed);
   }
-  total_requests_.store(snapshot.total_requests, std::memory_order_relaxed);
+  total_requests_.Set(snapshot.total_requests);
   // Everything is resident again; RestoreResidency (checkpoint v4) re-spills
   // afterwards when the resumed run uses block scheduling.
   ResetResidency();
@@ -693,7 +693,7 @@ void ConcurrentInterfaceCache::Reset() {
   for (NodeId v = 0; v < n; ++v) {
     cached_flags_[v].store(0, std::memory_order_relaxed);
   }
-  total_requests_.store(0, std::memory_order_relaxed);
+  total_requests_.Set(0);
   ResetResidency();
 }
 
@@ -727,7 +727,7 @@ std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
   if (v >= num_users()) {
     throw std::invalid_argument("Query: unknown user id");
   }
-  total_requests_.fetch_add(1, std::memory_order_relaxed);
+  total_requests_.Add();
   // Lock-free hit path: the network is immutable, so a set flag is enough
   // to materialize the response locally. Hits are deliberately not
   // counted here — PublishMetrics derives them from total_requests_.
@@ -772,9 +772,9 @@ std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {
     throw std::invalid_argument("QueryRef: unknown user id");
   }
   // Hot path: a set flag plus the immutable network is enough to answer
-  // without locks or allocations.
+  // without locks or allocations; the count lands on this thread's shard.
   if (HitCached(v)) {
-    total_requests_.fetch_add(1, std::memory_order_relaxed);
+    total_requests_.Add();
     return MakeView(v);
   }
   if (!Query(v)) return std::nullopt;  // full miss machinery (counts itself)
@@ -788,7 +788,6 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
       throw std::invalid_argument("BatchQuery: unknown user id");
     }
   }
-  total_requests_.fetch_add(ids.size(), std::memory_order_relaxed);
 
   // Claim every distinct uncached id we can without blocking. Ids already
   // being fetched by another walker are picked up afterwards, once our own
@@ -810,10 +809,11 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
       busy.push_back(v);
     }
   }
-  // Busy ids re-enter through Query below and count themselves there; of
-  // the rest, claims are misses and everything else (duplicates within the
-  // batch, already-cached ids) was answered from cache (hits, derived at
-  // PublishMetrics time).
+  // Busy ids re-enter through Query below and count themselves there (a
+  // sharded counter cannot take them back); of the rest, claims are misses
+  // and everything else (duplicates within the batch, already-cached ids)
+  // was answered from cache (hits, derived at PublishMetrics time).
+  total_requests_.Add(ids.size() - busy.size());
   ObsAdd(metrics_.misses, claimed.size());
   ObsRecord(metrics_.miss_batch, claimed.size());
 
@@ -833,9 +833,7 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
     }
   }
   for (NodeId v : busy) {
-    // Waits out the other walker's fetch (or re-fetches on budget refusal);
-    // the request was already counted above.
-    total_requests_.fetch_sub(1, std::memory_order_relaxed);
+    // Waits out the other walker's fetch (or re-fetches on budget refusal).
     fetched[v] = Query(v);
   }
 

@@ -210,9 +210,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   bool IsCached(NodeId v) const override;
 
   uint64_t QueryCost() const override;
-  uint64_t TotalRequests() const override {
-    return total_requests_.load(std::memory_order_relaxed);
-  }
+  /// Sums the per-thread request shards: exact at quiescent points (between
+  /// rounds), approximate while walkers run.
+  uint64_t TotalRequests() const override { return total_requests_.Value(); }
   uint64_t BackendRequests() const override;
   void SetBudget(std::optional<uint64_t> budget) override;
 
@@ -246,9 +246,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   /// Publishes the derived cache.hits gauge: TotalRequests() minus the
   /// miss counter. Hits are *not* counted on the hot path — the lock-free
-  /// hit path already bumps the session's total-request counter, so the
-  /// split is pure arithmetic at pull time (exact at quiescent points,
-  /// like BackendPool::PublishMetrics). No-op when observability is off.
+  /// hit path already bumps the caller's request shard, so the split is
+  /// pure arithmetic at pull time (exact at quiescent points, like
+  /// BackendPool::PublishMetrics). No-op when observability is off.
   void PublishMetrics();
 
  private:
@@ -335,7 +335,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Resolved metric pointers; all null when observability is off.
   /// `hits` is a gauge, not a counter: the lock-free hit path is the
   /// hottest line in the crawl, so hits are derived at publish time from
-  /// the pre-existing total-request counter instead of being counted.
+  /// the sharded request count instead of being counted.
   struct CacheMetrics {
     obs::Gauge* hits = nullptr;
     obs::Counter* misses = nullptr;
@@ -355,7 +355,10 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   RestrictedInterface* base_;
   std::unique_ptr<std::atomic<uint8_t>[]> cached_flags_;
-  std::atomic<uint64_t> total_requests_{0};
+  // Every request, hit or miss, counted on the caller's thread shard so
+  // walkers hitting the cache from different cores never share a line
+  // (DESIGN.md §6). Session state, not a registry metric: always on.
+  obs::Counter total_requests_;
   CacheMetrics metrics_;
   obs::MetricsRegistry* registry_ = nullptr;
   obs::TraceLog* trace_ = nullptr;

@@ -4,13 +4,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/net/social_network.h"
+#include "src/obs/metrics.h"
+#include "src/runtime/crawl_scheduler.h"
+#include "src/walk/srw.h"
 
 namespace mto {
 namespace {
@@ -298,6 +303,110 @@ TEST(ConcurrentInterfaceCacheTest, AsyncApplyErrorSurfacesAtTheJoin) {
   EXPECT_TRUE(results[0].has_value());
   EXPECT_TRUE(results[1].has_value());
   EXPECT_TRUE(cache.Query(4).has_value());
+}
+
+TEST(ConcurrentInterfaceCacheTest, InactivePipelineFetchCountsNothing) {
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+  ASSERT_TRUE(cache.Query(1).has_value());
+  const uint64_t requests = cache.TotalRequests();
+  const uint64_t misses = registry.CounterValue("cache.misses");
+  ASSERT_FALSE(cache.PipelineActive());
+  const NodeId frontier[] = {2, 3};
+  EXPECT_THROW(cache.PipelinedFetch(frontier), std::logic_error);
+  EXPECT_EQ(cache.TotalRequests(), requests);
+  EXPECT_EQ(registry.CounterValue("cache.misses"), misses);
+  EXPECT_FALSE(cache.IsCached(2));
+}
+
+/// Runs a mixed workload against `cache` on 8 threads and returns the
+/// number of requests issued: BatchQuery windows that overlap other
+/// threads' windows (so ids are often in flight elsewhere — the busy path)
+/// and repeat ids within the batch, single Query misses, and QueryRef hits
+/// on what the batch just cached.
+uint64_t MixedRequestsOn8Threads(ConcurrentInterfaceCache& cache) {
+  const NodeId n = cache.num_users();
+  std::atomic<uint64_t> issued{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 8; ++t) {
+    threads.emplace_back([&cache, &issued, n, t] {
+      for (size_t round = 0; round < 4; ++round) {
+        std::vector<NodeId> ids;
+        const NodeId first = static_cast<NodeId>((t * 5 + round * 11) % n);
+        for (NodeId k = 0; k < 8; ++k) ids.push_back((first + k) % n);
+        ids.push_back(ids[0]);  // duplicates within the batch
+        ids.push_back(ids[3]);
+        cache.BatchQuery(ids);
+        cache.Query(static_cast<NodeId>((t * 7 + round * 3) % n));
+        constexpr size_t kHits = 50;
+        for (size_t rep = 0; rep < kHits; ++rep) {
+          cache.QueryRef(ids[rep % ids.size()]);
+        }
+        issued.fetch_add(ids.size() + 1 + kHits);  // batch + Query + hits
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  return issued.load();
+}
+
+TEST(ConcurrentInterfaceCacheTest, RequestCountIsExactUnderThreads) {
+  SocialNetwork net(Complete(48));
+  RestrictedInterface base(net);
+  base.SetSimulatedLatency(std::chrono::microseconds(100));
+  base.SetMaxBatchSize(4);
+  ConcurrentInterfaceCache cache(base);
+  const uint64_t issued = MixedRequestsOn8Threads(cache);
+  EXPECT_EQ(cache.TotalRequests(), issued);
+  EXPECT_EQ(cache.QueryCost(), net.num_users());  // every node paid once
+}
+
+TEST(ConcurrentInterfaceCacheTest, RestoreAndResetLandExactCountsAfterThreads) {
+  SocialNetwork net(Complete(48));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  const uint64_t first = MixedRequestsOn8Threads(cache);
+  const SessionSnapshot snapshot = cache.SnapshotSession();
+  EXPECT_EQ(snapshot.total_requests, first);
+  MixedRequestsOn8Threads(cache);
+  cache.RestoreSession(snapshot);
+  EXPECT_EQ(cache.TotalRequests(), snapshot.total_requests);
+  // The restored value is a base, not a stale shard mix: new requests from
+  // any thread add exactly on top of it.
+  const uint64_t after_restore = MixedRequestsOn8Threads(cache);
+  EXPECT_EQ(cache.TotalRequests(), snapshot.total_requests + after_restore);
+
+  cache.Reset();
+  EXPECT_EQ(cache.TotalRequests(), 0u);
+  const uint64_t after_reset = MixedRequestsOn8Threads(cache);
+  EXPECT_EQ(cache.TotalRequests(), after_reset);
+}
+
+TEST(ConcurrentInterfaceCacheTest, HitsPlusMissesMatchRequestsAfterFreeRun) {
+  Rng graph_rng(7);
+  SocialNetwork net(LargestComponent(HolmeKim(300, 3, 0.5, graph_rng)));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+  CrawlScheduler scheduler(
+      cache, CrawlConfig{/*num_walkers=*/16, /*num_threads=*/4,
+                         /*coalesce_frontier=*/false},
+      /*seed=*/0xC0FFEE, [](RestrictedInterface& iface, Rng& rng, size_t i) {
+        return std::make_unique<SimpleRandomWalk>(iface, rng,
+                                                  static_cast<NodeId>(i));
+      });
+  scheduler.RunRounds(300);
+  cache.PublishMetrics();
+  const auto hits = static_cast<uint64_t>(registry.GaugeValue("cache.hits"));
+  const uint64_t misses = registry.CounterValue("cache.misses");
+  EXPECT_EQ(hits + misses, cache.TotalRequests());
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(misses, cache.QueryCost());  // no budget: every claim is paid
 }
 
 }  // namespace
