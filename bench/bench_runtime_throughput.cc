@@ -130,14 +130,14 @@ Row RunBaseline(const SocialNetwork& net, size_t walkers, size_t rounds,
   iface.SetSimulatedLatency(latency);
   Rng parent(kSeed);
   std::vector<std::unique_ptr<Rng>> rngs;
-  std::vector<std::unique_ptr<Sampler>> round_robin;
+  std::vector<std::unique_ptr<Sampler>> baseline;
   for (size_t i = 0; i < walkers; ++i) {
     rngs.push_back(std::make_unique<Rng>(parent.Fork(i)));
-    round_robin.push_back(MakeWalker(iface, *rngs.back(), i));
+    baseline.push_back(MakeWalker(iface, *rngs.back(), i));
   }
   const auto start = std::chrono::steady_clock::now();
   for (size_t r = 0; r < rounds; ++r) {
-    for (auto& walker : round_robin) walker->Step();
+    for (auto& walker : baseline) walker->Step();
   }
   const auto end = std::chrono::steady_clock::now();
 
@@ -154,7 +154,7 @@ Row RunBaseline(const SocialNetwork& net, size_t walkers, size_t rounds,
       static_cast<double>(walkers * rounds) / (row.wall_ms / 1000.0);
   row.unique_queries = iface.QueryCost();
   row.backend_requests = iface.BackendRequests();
-  for (const auto& walker : round_robin) {
+  for (const auto& walker : baseline) {
     row.positions.push_back(walker->current());
   }
   return row;

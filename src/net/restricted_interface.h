@@ -229,10 +229,8 @@ class RestrictedInterface {
   /// backend would accept it (budget exhaustion). Never mutates any state —
   /// a preview is not a promise, and prefetch tickets built from it are
   /// wall-clock-only. Returns std::nullopt when the interface has no
-  /// per-node routing model (the base class: one backend) or the active
-  /// selection policy is not a pure function of the node id (round-robin
-  /// and similar cursor-based policies), in which case callers simply skip
-  /// prefetching.
+  /// per-node routing model (the base class: one backend), in which case
+  /// callers simply skip prefetching.
   virtual std::optional<std::vector<uint32_t>> PlanPrefetch(
       std::span<const NodeId> ids) const;
 

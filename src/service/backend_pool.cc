@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "src/util/rng.h"
@@ -29,9 +30,6 @@ void BackendConfig::Validate() const {
 const char* BackendSelectionName(BackendSelection selection) {
   switch (selection) {
     case BackendSelection::kSharded: return "sharded";
-    case BackendSelection::kRoundRobin: return "round_robin";
-    case BackendSelection::kLeastLoaded: return "least_loaded";
-    case BackendSelection::kBudgetAware: return "budget_aware";
     case BackendSelection::kRendezvous: return "rendezvous";
   }
   return "?";
@@ -74,10 +72,17 @@ BackendPool::BackendPool(const SocialNetwork& network,
     throw std::invalid_argument("BackendPool: need at least one backend");
   }
   retry_.Validate();
+  std::unordered_set<std::string> names;
   for (size_t b = 0; b < configs_.size(); ++b) {
     configs_[b].Validate();
     if (configs_[b].name.empty()) {
       configs_[b].name = "key-" + std::to_string(b);
+    }
+    // Gauges are keyed backend.*{backend=<name>}: twins would overwrite
+    // each other's ledgers in PublishMetrics.
+    if (!names.insert(configs_[b].name).second) {
+      throw std::invalid_argument("BackendPool: duplicate backend name \"" +
+                                  configs_[b].name + "\"");
     }
   }
   ledgers_.resize(configs_.size());
@@ -94,10 +99,8 @@ BackendPool::BackendPool(const SocialNetwork& network,
 }
 
 void BackendPool::SyncRoutingCounters() {
-  routed_requests_.assign(ledgers_.size(), 0);
   routed_unique_.assign(ledgers_.size(), 0);
   for (size_t b = 0; b < ledgers_.size(); ++b) {
-    routed_requests_[b] = ledgers_[b].stats.requests;
     routed_unique_[b] = ledgers_[b].stats.unique_queries;
   }
 }
@@ -181,7 +184,6 @@ BackendPool::PoolSnapshot BackendPool::SnapshotBackends() const {
     std::lock_guard<std::mutex> lock(ledger_mutexes_[b]);
     snapshot.ledgers.push_back(ledgers_[b]);
   }
-  snapshot.round_robin_cursor = round_robin_cursor_;
   snapshot.failed_fetches = failed_fetches_;
   return snapshot;
 }
@@ -192,7 +194,6 @@ void BackendPool::RestoreBackends(const PoolSnapshot& snapshot) {
         "RestoreBackends: backend count mismatch with snapshot");
   }
   ledgers_ = snapshot.ledgers;
-  round_robin_cursor_ = snapshot.round_robin_cursor;
   failed_fetches_ = snapshot.failed_fetches;
   SyncRoutingCounters();
 }
@@ -203,7 +204,6 @@ void BackendPool::Reset() {
     ledgers_[b] = BackendLedger{};
     ledgers_[b].bucket_tokens = configs_[b].burst;
   }
-  round_robin_cursor_ = 0;
   failed_fetches_ = 0;
   SyncRoutingCounters();
 }
@@ -220,73 +220,22 @@ void BackendPool::RouteOrder(NodeId v, std::vector<size_t>& order) const {
     for (size_t i = 0; i < n; ++i) order.push_back((primary + i) % n);
     return;
   }
-  // kRendezvous: descending score order. Score ties (only possible with
-  // duplicate backend names) break toward fewer planned requests — the
-  // plan-time load tie-break — then lower index, so the order is a
-  // deterministic function of (node, routing counters). Budget-spent
-  // backends then sort behind every live one: a spent key is excluded from
-  // primary duty instead of answering with a refusal, but stays reachable
-  // as a last resort so an all-spent pool still reports refusals.
+  // kRendezvous: descending score order. Names are unique and Mix64 is a
+  // bijection, so scores tie only on an FNV-1a name-hash collision; such
+  // ties break toward the lower index. Budget-spent backends then sort
+  // behind every live one: a spent key is excluded from primary duty
+  // instead of answering with a refusal, but stays reachable as a last
+  // resort so an all-spent pool still reports refusals.
   for (size_t b = 0; b < n; ++b) order.push_back(b);
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     const uint64_t score_a = RendezvousScore(a, v);
     const uint64_t score_b = RendezvousScore(b, v);
     if (score_a != score_b) return score_a > score_b;
-    if (routed_requests_[a] != routed_requests_[b]) {
-      return routed_requests_[a] < routed_requests_[b];
-    }
     return a < b;
   });
   std::stable_partition(order.begin(), order.end(), [&](size_t b) {
     return !configs_[b].budget || routed_unique_[b] < *configs_[b].budget;
   });
-}
-
-void BackendPool::SelectionOrder(NodeId v, std::vector<size_t>& order) {
-  const size_t n = configs_.size();
-  if (selection_ == BackendSelection::kSharded ||
-      selection_ == BackendSelection::kRendezvous) {
-    RouteOrder(v, order);
-    return;
-  }
-  size_t primary = 0;
-  switch (selection_) {
-    case BackendSelection::kSharded:
-    case BackendSelection::kRendezvous:
-      break;  // handled above
-    case BackendSelection::kRoundRobin:
-      primary = static_cast<size_t>(round_robin_cursor_++ % n);
-      break;
-    case BackendSelection::kLeastLoaded: {
-      uint64_t best = routed_requests_[0];
-      for (size_t b = 1; b < n; ++b) {
-        if (routed_requests_[b] < best) {
-          best = routed_requests_[b];
-          primary = b;
-        }
-      }
-      break;
-    }
-    case BackendSelection::kBudgetAware: {
-      auto remaining = [&](size_t b) -> uint64_t {
-        if (!configs_[b].budget) return UINT64_MAX;
-        const uint64_t spent = routed_unique_[b];
-        return *configs_[b].budget > spent ? *configs_[b].budget - spent : 0;
-      };
-      uint64_t best = remaining(0);
-      for (size_t b = 1; b < n; ++b) {
-        const uint64_t r = remaining(b);
-        if (r > best || (r == best && routed_unique_[b] <
-                                          routed_unique_[primary])) {
-          best = r;
-          primary = b;
-        }
-      }
-      break;
-    }
-  }
-  order.clear();
-  for (size_t i = 0; i < n; ++i) order.push_back((primary + i) % n);
 }
 
 void BackendPool::PaceRequest(size_t b) {
@@ -343,7 +292,7 @@ BackendPool::AttemptDraw BackendPool::DrawAttempt(size_t b, NodeId v,
 bool BackendPool::PlanOne(NodeId v,
                           std::vector<std::vector<LedgerOp>>& per_backend,
                           uint32_t* first_request_backend) {
-  SelectionOrder(v, order_scratch_);
+  RouteOrder(v, order_scratch_);
   if (first_request_backend != nullptr) *first_request_backend = UINT32_MAX;
   uint64_t attempt = 0;
   for (size_t b : order_scratch_) {
@@ -358,7 +307,6 @@ bool BackendPool::PlanOne(NodeId v,
           *first_request_backend == UINT32_MAX) {
         *first_request_backend = static_cast<uint32_t>(b);
       }
-      ++routed_requests_[b];
       const AttemptDraw draw = DrawAttempt(b, v, attempt);
       per_backend[b].push_back({v, static_cast<uint32_t>(attempt), 0, draw});
       if (draw.fault == Fault::kNone) {
@@ -453,12 +401,6 @@ std::optional<DeferredFetch> BackendPool::PlanFetchMisses(
 
 std::optional<std::vector<uint32_t>> BackendPool::PlanPrefetch(
     std::span<const NodeId> ids) const {
-  if (selection_ != BackendSelection::kSharded &&
-      selection_ != BackendSelection::kRendezvous) {
-    // Cursor/load-based policies: the next pick depends on routing state
-    // that moves between now and the real plan — no honest preview exists.
-    return std::nullopt;
-  }
   std::vector<uint32_t> out;
   out.reserve(ids.size());
   std::vector<size_t> order;

@@ -69,32 +69,24 @@ struct BackendLedger {
   uint64_t last_refill_us = 0;  ///< bucket refill watermark on that clock
 };
 
-/// How the pool picks the backend that serves a cache miss. Failover walks
-/// the remaining backends from the selected one in index order.
+/// How the pool picks the backend that serves a cache miss. Both policies
+/// route as a pure function of (node, spent-budget set): no cursor or load
+/// state enters, so per-backend costs are bit-identical across thread
+/// interleavings, engines, and resume (the ledger-sharding mode; see the
+/// class comment).
 enum class BackendSelection {
-  /// Backend `v % N` serves node v. Assignment is a pure function of the
-  /// node id (like kRendezvous) — per-backend costs are bit-identical
-  /// across thread interleavings (the ledger-sharding mode; see the class
-  /// comment) — but `v % N` aliases badly on strided or skewed node-id
+  /// Backend `v % N` serves node v; failover walks the remaining backends
+  /// in index order. `v % N` aliases badly on strided or skewed node-id
   /// populations.
   kSharded,
-  /// Rotating cursor over the backends (classic API-key rotation).
-  kRoundRobin,
-  /// The backend with the fewest requests so far.
-  kLeastLoaded,
-  /// The backend with the most remaining budget (unlimited counts as
-  /// infinite; ties break toward fewer unique queries, then lower index).
-  kBudgetAware,
   /// Rendezvous (highest-random-weight) hashing on (backend name, node):
   /// node v is served by the backend with the highest hash score for v, and
-  /// fails over down the score order. Like kSharded the assignment is a
-  /// pure function of the node id — interleaving-independent ledgers — but
-  /// the hash mixes node ids uniformly (no aliasing on strided/skewed id
-  /// populations) and fleet changes only move the nodes whose top scorer
-  /// changed (minimal disruption). Equal scores (duplicate backend names)
-  /// break toward fewer planned requests, then lower index; backends whose
-  /// budget is spent sort behind all live ones instead of emitting a
-  /// refusal op (see SelectionOrder).
+  /// fails over down the score order. The hash mixes node ids uniformly (no
+  /// aliasing on strided/skewed id populations) and fleet changes only move
+  /// the nodes whose top scorer changed (minimal disruption). Backend names
+  /// are unique, so scores tie only on an FNV-1a name-hash collision; ties
+  /// break toward the lower index. Backends whose budget is spent sort
+  /// behind all live ones instead of emitting a refusal op (see RouteOrder).
   kRendezvous,
 };
 
@@ -115,9 +107,8 @@ const char* BackendSelectionName(BackendSelection selection);
 ///
 /// Determinism: fault, latency, and jitter draws are pure functions of
 /// (fault_seed, backend, node, attempt) — never of arrival order — so
-/// whether a given node's fetch ultimately succeeds, and on which backend
-/// under the pure per-node policies (kSharded, kRendezvous), is
-/// independent of thread interleaving. Walker
+/// whether a given node's fetch ultimately succeeds, and on which backend,
+/// is independent of thread interleaving. Walker
 /// trajectories therefore stay bit-identical across thread counts and
 /// stepping modes even with faults injected, as long as no budget (pool- or
 /// backend-level) is exhausted mid-crawl — exhaustion order is the one
@@ -148,7 +139,10 @@ const char* BackendSelectionName(BackendSelection selection);
 /// backends overlap in real time.
 class BackendPool final : public RestrictedInterface {
  public:
-  /// `backends` must be non-empty; configs are validated.
+  /// `backends` must be non-empty; configs are validated. Empty names
+  /// default to `key-<index>`; duplicate names (after defaulting) throw
+  /// std::invalid_argument — per-backend gauges and rendezvous scores are
+  /// keyed by name.
   BackendPool(const SocialNetwork& network,
               std::vector<BackendConfig> backends, RetryPolicy retry,
               BackendSelection selection, uint64_t fault_seed);
@@ -176,7 +170,6 @@ class BackendPool final : public RestrictedInterface {
   /// snapshotted separately via SnapshotSession).
   struct PoolSnapshot {
     std::vector<BackendLedger> ledgers;
-    uint64_t round_robin_cursor = 0;
     uint64_t failed_fetches = 0;
   };
   PoolSnapshot SnapshotBackends() const;
@@ -201,12 +194,10 @@ class BackendPool final : public RestrictedInterface {
   std::optional<DeferredFetch> PlanFetchMisses(
       std::span<const NodeId> misses) override;
 
-  /// Routing preview for the pipelined prefetcher: answers for the pure
-  /// per-node policies (kSharded, kRendezvous) with each id's first
-  /// budget-capable backend in its route order (UINT32_MAX when every
-  /// backend's budget is spent); returns std::nullopt for cursor/load-based
-  /// policies whose next pick depends on mutable routing state. Reads the
-  /// plan-time routing counters only; mutates nothing.
+  /// Routing preview for the pipelined prefetcher: always answers, with
+  /// each id's first budget-capable backend in its route order (UINT32_MAX
+  /// when every backend's budget is spent). Reads the plan-time routing
+  /// counters only; mutates nothing.
   std::optional<std::vector<uint32_t>> PlanPrefetch(
       std::span<const NodeId> ids) const override;
 
@@ -239,16 +230,10 @@ class BackendPool final : public RestrictedInterface {
     AttemptDraw draw;      ///< unused when refusal
   };
 
-  /// Order in which backends are tried for node v. For kSharded that is
-  /// `v % N` then index-order failover; for kRendezvous the descending
-  /// score order with budget-spent backends partitioned to the back; the
-  /// cursor/load policies pick a primary from mutable state and fail over
-  /// in index order. Reads the routing counters, not ledgers.
-  void SelectionOrder(NodeId v, std::vector<size_t>& order);
-
-  /// The const subset of SelectionOrder for the pure per-node policies
-  /// (kSharded, kRendezvous) — what PlanPrefetch previews. Must stay in
-  /// lockstep with SelectionOrder for those policies.
+  /// Order in which backends are tried for node v: for kSharded `v % N`
+  /// then index-order failover; for kRendezvous the descending score order
+  /// with budget-spent backends partitioned to the back. A pure function of
+  /// (node, spent-budget set) — shared by the real plan and PlanPrefetch.
   void RouteOrder(NodeId v, std::vector<size_t>& order) const;
 
   /// Rendezvous score of backend b for node v: a pure hash of the
@@ -272,7 +257,7 @@ class BackendPool final : public RestrictedInterface {
   /// backend's ledger mutex.
   void PaceRequest(size_t b);
 
-  /// Re-derives the routing counters from the ledgers (construction,
+  /// Re-derives routed_unique_ from the ledgers (construction,
   /// Reset, RestoreBackends — all quiescent points where they agree).
   void SyncRoutingCounters();
 
@@ -284,12 +269,10 @@ class BackendPool final : public RestrictedInterface {
   RetryPolicy retry_;
   BackendSelection selection_;
   uint64_t fault_seed_;
-  uint64_t round_robin_cursor_ = 0;
   uint64_t failed_fetches_ = 0;
-  /// Routing-front mirrors of ledger counters (requests / unique queries
-  /// per backend), updated at plan time so selection and budget decisions
-  /// never wait on — or race with — deferred ledger applies.
-  std::vector<uint64_t> routed_requests_;
+  /// Routing-front mirror of each backend's unique queries, updated at plan
+  /// time so budget decisions never wait on — or race with — deferred
+  /// ledger applies.
   std::vector<uint64_t> routed_unique_;
   /// Stable per-backend name hashes for rendezvous scoring (computed once;
   /// a backend keeps its scores when siblings come and go).

@@ -137,7 +137,6 @@ void ServiceCheckpoint::Save(const std::string& path) const {
       w.U64(ledger.clock_us);
       w.U64(ledger.last_refill_us);
     }
-    w.U64(round_robin_cursor);
     w.U64(failed_fetches);
 
     w.U64(walkers.size());
@@ -251,7 +250,7 @@ ServiceCheckpoint ServiceCheckpoint::Load(const std::string& path) {
     throw std::runtime_error(
         "checkpoint: unsupported version " + std::to_string(version) +
         (version > kVersion ? " (written by a future build)"
-                            : " (predates the block-residency section)"));
+                            : " (predates the v5 pool section)"));
   }
   ServiceCheckpoint ckpt;
   ckpt.config_fingerprint = r.U64();
@@ -278,7 +277,6 @@ ServiceCheckpoint ServiceCheckpoint::Load(const std::string& path) {
     ledger.clock_us = r.U64();
     ledger.last_refill_us = r.U64();
   }
-  ckpt.round_robin_cursor = r.U64();
   ckpt.failed_fetches = r.U64();
 
   ckpt.walkers.resize(r.Count(1 << 24, 36));

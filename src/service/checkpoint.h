@@ -37,13 +37,15 @@ enum class CrawlPhase : uint8_t { kBurnIn = 0, kSampling = 1, kDone = 2 };
 /// section (which cached entries sit spilled in on-disk block segments and
 /// which blocks are loaded, for block-major scheduling — DESIGN.md §14),
 /// checksummed the same way and always present (empty under walker-major
-/// scheduling). Any version other than kVersion is rejected (older
-/// checkpoints predate the block-residency section; newer ones come from a
-/// future build) — there is no silent downgrade path. A fingerprint of the
-/// scenario (ScenarioConfig::Fingerprint) guards against resuming under a
-/// different configuration.
+/// scheduling). Version 5 drops the routing cursor from the pool section
+/// (every routing policy is a pure function of the node), leaving the
+/// ledgers followed by the failed-fetch count. Any version other than
+/// kVersion is rejected (older checkpoints carry the wider pool section;
+/// newer ones come from a future build) — there is no silent downgrade
+/// path. A fingerprint of the scenario (ScenarioConfig::Fingerprint) guards
+/// against resuming under a different configuration.
 struct ServiceCheckpoint {
-  static constexpr uint32_t kVersion = 4;
+  static constexpr uint32_t kVersion = 5;
 
   uint64_t config_fingerprint = 0;
 
@@ -52,7 +54,6 @@ struct ServiceCheckpoint {
 
   // Backend pool extras.
   std::vector<BackendLedger> ledgers;
-  uint64_t round_robin_cursor = 0;
   uint64_t failed_fetches = 0;
 
   // Walkers.

@@ -422,7 +422,6 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
   ckpt.session = session_->SnapshotSession();
   const BackendPool::PoolSnapshot backends = pool_->SnapshotBackends();
   ckpt.ledgers = backends.ledgers;
-  ckpt.round_robin_cursor = backends.round_robin_cursor;
   ckpt.failed_fetches = backends.failed_fetches;
   ckpt.walkers = scheduler_->SnapshotWalkers();
   ckpt.total_steps = scheduler_->total_steps();
@@ -504,8 +503,7 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
         "LoadCheckpoint: checkpoint was written by a different scenario");
   }
   session_->RestoreSession(ckpt.session);
-  pool_->RestoreBackends(
-      {ckpt.ledgers, ckpt.round_robin_cursor, ckpt.failed_fetches});
+  pool_->RestoreBackends({ckpt.ledgers, ckpt.failed_fetches});
 
   // Block residency: a block-major service regroups the checkpoint's
   // locality image under its own partition/budget; a walker-major resume

@@ -69,11 +69,8 @@ ScheduleMode ParseScheduleMode(const std::string& s) {
 BackendSelection ParseSelection(const std::string& s) {
   if (s == "sharded") return BackendSelection::kSharded;
   if (s == "rendezvous") return BackendSelection::kRendezvous;
-  if (s == "round_robin") return BackendSelection::kRoundRobin;
-  if (s == "least_loaded") return BackendSelection::kLeastLoaded;
-  if (s == "budget_aware") return BackendSelection::kBudgetAware;
   throw std::invalid_argument("ScenarioConfig: unknown routing \"" + s +
-                              "\"");
+                              "\" (expected \"sharded\" or \"rendezvous\")");
 }
 
 CriterionBasis ParseCriterionBasis(const std::string& s) {
@@ -522,9 +519,10 @@ uint64_t ScenarioConfig::Fingerprint() const {
   // no session-state mutation), so a run may be resumed with observability
   // toggled either way. The routing strategy is excluded too — not
   // because results match across policies (they don't), but because
-  // resuming under a different policy is a legitimate live rotation: the
-  // ledgers, cache, and walker states are policy-independent facts, and
-  // the trajectory simply becomes hybrid from the resume point on.
+  // resuming sharded under rendezvous or back is a legitimate live
+  // rotation: the ledgers, cache, and walker states are policy-independent
+  // facts (neither policy keeps routing state), and the trajectory simply
+  // becomes hybrid from the resume point on.
   return fnv.hash();
 }
 

@@ -46,38 +46,6 @@ TEST(BackendPoolTest, ShardedSelectionAssignsByNodeId) {
   }
 }
 
-TEST(BackendPoolTest, RoundRobinRotatesAcrossKeys) {
-  SocialNetwork net = TestNet();
-  BackendPool pool(net, PerfectBackends(3), RetryPolicy{},
-                   BackendSelection::kRoundRobin, kFaultSeed);
-  for (NodeId v = 0; v < 9; ++v) pool.Query(v);
-  for (size_t b = 0; b < 3; ++b) {
-    EXPECT_EQ(pool.backend_stats(b).unique_queries, 3u);
-  }
-}
-
-TEST(BackendPoolTest, LeastLoadedBalancesRequests) {
-  SocialNetwork net = TestNet();
-  BackendPool pool(net, PerfectBackends(2), RetryPolicy{},
-                   BackendSelection::kLeastLoaded, kFaultSeed);
-  for (NodeId v = 0; v < 10; ++v) pool.Query(v);
-  EXPECT_EQ(pool.backend_stats(0).requests, 5u);
-  EXPECT_EQ(pool.backend_stats(1).requests, 5u);
-}
-
-TEST(BackendPoolTest, BudgetAwarePrefersDeepestRemainingBudget) {
-  SocialNetwork net = TestNet();
-  std::vector<BackendConfig> backends(2);
-  backends[0].budget = 2;  // shallow key
-  // backends[1] unlimited
-  BackendPool pool(net, backends, RetryPolicy{},
-                   BackendSelection::kBudgetAware, kFaultSeed);
-  for (NodeId v = 0; v < 8; ++v) pool.Query(v);
-  // The unlimited key should absorb everything.
-  EXPECT_EQ(pool.backend_stats(1).unique_queries, 8u);
-  EXPECT_EQ(pool.backend_stats(0).unique_queries, 0u);
-}
-
 TEST(BackendPoolTest, BudgetExhaustionFailsOverToNextBackend) {
   SocialNetwork net = TestNet();
   std::vector<BackendConfig> backends(2);
@@ -193,15 +161,15 @@ TEST(BackendPoolTest, SnapshotRestoreRoundTripsLedgers) {
   std::vector<BackendConfig> backends(2);
   backends[0].error_rate = 0.3;
   backends[0].rate_per_sec = 100.0;
-  BackendPool pool(net, backends, RetryPolicy{},
-                   BackendSelection::kRoundRobin, kFaultSeed);
+  BackendPool pool(net, backends, RetryPolicy{}, BackendSelection::kSharded,
+                   kFaultSeed);
   for (NodeId v = 0; v < 20; ++v) pool.Query(v);
 
   const SessionSnapshot session = pool.SnapshotSession();
   const BackendPool::PoolSnapshot snapshot = pool.SnapshotBackends();
 
   BackendPool restored(net, backends, RetryPolicy{},
-                       BackendSelection::kRoundRobin, kFaultSeed);
+                       BackendSelection::kSharded, kFaultSeed);
   restored.RestoreSession(session);
   restored.RestoreBackends(snapshot);
   EXPECT_EQ(restored.QueryCost(), pool.QueryCost());
@@ -259,6 +227,32 @@ TEST(BackendPoolTest, ValidatesConfigs) {
   std::vector<BackendConfig> named(1);
   BackendPool pool(net, named, RetryPolicy{}, BackendSelection::kSharded, 1);
   EXPECT_EQ(pool.backend_config(0).name, "key-0");
+}
+
+TEST(BackendPoolTest, RejectsDuplicateBackendNames) {
+  // Per-backend gauges are keyed by name, so twins would overwrite each
+  // other's ledgers in PublishMetrics. Explicit twins are rejected, and so
+  // is an explicit name that collides with another backend's default.
+  SocialNetwork net = TestNet();
+  std::vector<BackendConfig> twins(3);
+  twins[0].name = "dup";
+  twins[2].name = "dup";
+  EXPECT_THROW(BackendPool(net, twins, RetryPolicy{},
+                           BackendSelection::kRendezvous, 1),
+               std::invalid_argument);
+  std::vector<BackendConfig> defaulted(2);
+  defaulted[0].name = "key-1";  // backend 1 defaults to "key-1" too
+  try {
+    BackendPool(net, defaulted, RetryPolicy{}, BackendSelection::kSharded, 1);
+    FAIL() << "duplicate defaulted name accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"key-1\""), std::string::npos)
+        << e.what();
+  }
+  std::vector<BackendConfig> distinct(2);
+  distinct[0].name = "key-0";  // matches its own default: fine
+  EXPECT_NO_THROW(BackendPool(net, distinct, RetryPolicy{},
+                              BackendSelection::kRendezvous, 1));
 }
 
 }  // namespace

@@ -113,7 +113,6 @@ void ExpectResultsBitIdentical(const ServiceResult& walker,
 
 void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& walker,
                                const BackendPool::PoolSnapshot& block) {
-  EXPECT_EQ(walker.round_robin_cursor, block.round_robin_cursor);
   EXPECT_EQ(walker.failed_fetches, block.failed_fetches);
   ASSERT_EQ(walker.ledgers.size(), block.ledgers.size());
   for (size_t b = 0; b < walker.ledgers.size(); ++b) {

@@ -28,6 +28,7 @@ ServiceCheckpoint MakeCheckpoint() {
   ckpt.ledgers.resize(2);
   ckpt.ledgers[0].stats.unique_queries = 3;
   ckpt.ledgers[1].stats.requests = 7;
+  ckpt.failed_fetches = 9;
   ckpt.walkers.resize(2);
   ckpt.walkers[0] = {5, {1, 2, 3, 4}};
   ckpt.walkers[1] = {8, {9, 10, 11, 12}};
@@ -58,6 +59,23 @@ ServiceCheckpoint MakeCheckpoint() {
   return ckpt;
 }
 
+// v5 layout up to the walker section: header (magic, version,
+// fingerprint), session (id count + 4 ids + 3 counters), then the pool
+// section — ledger count, 2 ledgers of 12 words each, failed_fetches.
+constexpr size_t kPoolSectionOffset = 8 + 4 + 8 + (8 + 4 * 4 + 3 * 8);
+constexpr size_t kLedgerBytes = 12 * 8;
+constexpr size_t kPoolSectionBytes = 8 + 2 * kLedgerBytes + 8;
+constexpr size_t kWalkerCountOffset = kPoolSectionOffset + kPoolSectionBytes;
+
+uint64_t U64At(const std::vector<char>& bytes, size_t offset) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[offset + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 std::vector<char> ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -79,6 +97,7 @@ TEST(CheckpointTest, SaveLoadRoundTripsEveryField) {
   ASSERT_EQ(loaded.ledgers.size(), 2u);
   EXPECT_EQ(loaded.ledgers[0].stats.unique_queries, 3u);
   EXPECT_EQ(loaded.ledgers[1].stats.requests, 7u);
+  EXPECT_EQ(loaded.failed_fetches, 9u);
   ASSERT_EQ(loaded.walkers.size(), 2u);
   EXPECT_EQ(loaded.walkers[1].position, 8u);
   EXPECT_EQ(loaded.walkers[1].rng_state, saved.walkers[1].rng_state);
@@ -148,12 +167,22 @@ TEST(CheckpointTest, FutureVersionFailsLoudly) {
         << e.what();
   }
   // Older versions are rejected too — v1 (pre-overlay), v2 (pre-
-  // second-order-section), and v3 (pre-block-residency-section). A v4
-  // loader never silently downgrades.
-  for (char version : {char{1}, char{2}, char{3}}) {
+  // second-order-section), v3 (pre-block-residency-section), and v4 (whose
+  // pool section still carries a routing cursor). A v5 loader never
+  // silently downgrades, and the error names the version it refused.
+  for (char version : {char{1}, char{2}, char{3}, char{4}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
     bytes[8] = version;
     WriteAll(path, bytes);
-    EXPECT_THROW(ServiceCheckpoint::Load(path), std::runtime_error);
+    try {
+      ServiceCheckpoint::Load(path);
+      FAIL() << "older version accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -166,8 +195,9 @@ std::vector<char> Reserialize(const ServiceCheckpoint& ckpt,
   return ReadAll(path);
 }
 
-// Seeded corruption fuzz over the v2 image: random byte flips (1-8 bytes)
-// and random truncations, ~1k mutants. The loader's contract under
+// Seeded corruption fuzz over the v5 image: random byte flips (1-8 bytes)
+// anywhere, flips confined to the pool section, and random truncations,
+// ~1k mutants. The loader's contract under
 // corruption is "reject loudly or round-trip": every mutant must either
 // throw std::runtime_error (detected corruption: bad magic/version,
 // truncation, implausible count, checksum mismatch) or yield a checkpoint
@@ -194,6 +224,15 @@ TEST(CheckpointFuzzTest, RandomCorruptionNeverCrashesTheLoader) {
     if (m % 4 == 0) {
       // Truncation at a random point (possibly to zero bytes).
       bytes.resize(rng.UniformInt(bytes.size()));
+    } else if (m % 4 == 1) {
+      // 1-8 flips inside the pool section: its ledger count word guards the
+      // only variable-length span between the session and the walkers.
+      const uint64_t flips = 1 + rng.UniformInt(8);
+      for (uint64_t f = 0; f < flips; ++f) {
+        const size_t offset = kPoolSectionOffset + static_cast<size_t>(
+            rng.UniformInt(kPoolSectionBytes));
+        bytes[offset] ^= static_cast<char>(1 + rng.UniformInt(255));
+      }
     } else {
       // 1-8 random byte flips anywhere in the image.
       const uint64_t flips = 1 + rng.UniformInt(8);
@@ -227,25 +266,48 @@ TEST(CheckpointFuzzTest, RandomCorruptionNeverCrashesTheLoader) {
   std::remove(canon_path.c_str());
 }
 
+TEST(CheckpointTest, PoolSectionHoldsLedgersThenFailedFetches) {
+  // Pins the v5 pool section byte for byte: the ledger count, the ledgers,
+  // then failed_fetches, with the walker count immediately after — no
+  // routing cursor in between.
+  const std::string path = TempPath("pool_layout");
+  MakeCheckpoint().Save(path);
+  const std::vector<char> bytes = ReadAll(path);
+  ASSERT_GT(bytes.size(), kWalkerCountOffset + 8);
+  EXPECT_EQ(U64At(bytes, kPoolSectionOffset), 2u);  // ledger count
+  EXPECT_EQ(U64At(bytes, kPoolSectionOffset + 8), 3u);  // ledger 0 unique
+  EXPECT_EQ(U64At(bytes, kPoolSectionOffset + 8 + kLedgerBytes + 8),
+            7u);  // ledger 1 requests
+  EXPECT_EQ(U64At(bytes, kWalkerCountOffset - 8), 9u);  // failed_fetches
+  EXPECT_EQ(U64At(bytes, kWalkerCountOffset), 2u);      // walker count
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointFuzzTest, ImplausibleCountsAreRejectedBeforeAllocating) {
-  // Hand-built worst case the random corpus may miss: the first vector
-  // count (cached_ids) rewritten to 2^32 — small enough to pass a naive
-  // sanity cap, large enough that resizing would allocate gigabytes. The
-  // loader must reject it against the actual file size instead.
+  // Hand-built worst cases the random corpus may miss: a vector count
+  // rewritten to 2^32 — small enough to pass a naive sanity cap, large
+  // enough that resizing would allocate gigabytes. The loader must reject
+  // it against the actual file size instead. Covers the first count
+  // (cached_ids), the pool section's ledger count, and the walker count
+  // that follows the pool section.
   const std::string path = TempPath("fuzz_count");
   MakeCheckpoint().Save(path);
-  std::vector<char> bytes = ReadAll(path);
-  const size_t count_offset = 8 + 4 + 8;  // magic, version, fingerprint
-  for (size_t i = 0; i < 8; ++i) bytes[count_offset + i] = 0;
-  bytes[count_offset + 4] = 1;  // little-endian 2^32
-  WriteAll(path, bytes);
-  try {
-    ServiceCheckpoint::Load(path);
-    FAIL() << "implausible count accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("implausible count"),
-              std::string::npos)
-        << e.what();
+  const std::vector<char> pristine = ReadAll(path);
+  for (size_t count_offset :
+       {size_t{8 + 4 + 8}, kPoolSectionOffset, kWalkerCountOffset}) {
+    SCOPED_TRACE("count_offset=" + std::to_string(count_offset));
+    std::vector<char> bytes = pristine;
+    for (size_t i = 0; i < 8; ++i) bytes[count_offset + i] = 0;
+    bytes[count_offset + 4] = 1;  // little-endian 2^32
+    WriteAll(path, bytes);
+    try {
+      ServiceCheckpoint::Load(path);
+      FAIL() << "implausible count accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("implausible count"),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -292,7 +354,7 @@ TEST(CheckpointTest, SectionChecksumMismatchFailsLoudly) {
 }
 
 TEST(CheckpointTest, TrailingSectionsCannotBeSilentlyDropped) {
-  // A v4 image with trailing sections cut off must be rejected as
+  // A v5 image with trailing sections cut off must be rejected as
   // truncated — never parsed as if it were an older-version file. Cut the
   // residency section alone, then residency + second-order together.
   const std::string path = TempPath("no_downgrade");

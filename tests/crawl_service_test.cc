@@ -104,6 +104,20 @@ TEST(CrawlServiceTest, RunsFaultyScenarioToCompletion) {
   EXPECT_GT(result.simulated_time_us, 0u);
 }
 
+TEST(CrawlServiceTest, DuplicateBackendNamesAreRejectedAtConstruction) {
+  // Scenario parsing keeps names as written; the pool rejects twins once
+  // empty names have defaulted to key-<index>, so a spent twin can never
+  // mask its sibling's budget in the per-backend gauges.
+  for (const char* backends :
+       {R"([{"name": "us-east"}, {"name": "us-east"}])",
+        R"([{"name": "key-1"}, {}])"}) {
+    SCOPED_TRACE(backends);
+    const ScenarioConfig config = ScenarioConfig::FromJsonText(
+        std::string(R"({"backends": )") + backends + "}");
+    EXPECT_THROW(CrawlService{config}, std::invalid_argument);
+  }
+}
+
 TEST(CrawlServiceTest, ResumeIsBitIdenticalAtEveryKillPoint) {
   ScenarioConfig config = FaultyScenario();
   const ServiceResult uninterrupted = CrawlService(config).Run();

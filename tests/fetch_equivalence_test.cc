@@ -101,7 +101,6 @@ void ExpectResultsBitIdentical(const ServiceResult& sync,
 
 void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& sync,
                                const BackendPool::PoolSnapshot& async) {
-  EXPECT_EQ(sync.round_robin_cursor, async.round_robin_cursor);
   EXPECT_EQ(sync.failed_fetches, async.failed_fetches);
   ASSERT_EQ(sync.ledgers.size(), async.ledgers.size());
   for (size_t b = 0; b < sync.ledgers.size(); ++b) {

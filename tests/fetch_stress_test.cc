@@ -119,7 +119,7 @@ TEST(FetchStressTest, BudgetedBackendsNeverOverdrawUnderContention) {
   // keys exhaust first and fetches get permanently refused while walkers
   // are still racing.
   BackendPool pool(net, FaultyBackends(4, 60), retry,
-                   BackendSelection::kBudgetAware, kFaultSeed);
+                   BackendSelection::kRendezvous, kFaultSeed);
   pool.SetBudget(400);
   ConcurrentInterfaceCache session(pool);
   session.SetFetchMode(FetchMode::kAsync, 4);

@@ -105,7 +105,6 @@ void ExpectResultsBitIdentical(const ServiceResult& sync,
 
 void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& sync,
                                const BackendPool::PoolSnapshot& pipelined) {
-  EXPECT_EQ(sync.round_robin_cursor, pipelined.round_robin_cursor);
   EXPECT_EQ(sync.failed_fetches, pipelined.failed_fetches);
   ASSERT_EQ(sync.ledgers.size(), pipelined.ledgers.size());
   for (size_t b = 0; b < sync.ledgers.size(); ++b) {

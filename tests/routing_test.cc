@@ -1,8 +1,8 @@
 // Rendezvous (highest-random-weight) routing — unit tests for the
 // balance-aware backend selection the pipelined engine routes through:
-// stable assignment under fleet changes (minimal disruption), deterministic
-// tie-breaks, load balance on skewed node-id populations where `v % N`
-// aliases, and budget-exhausted exclusion without refusal churn.
+// stable assignment under fleet changes (minimal disruption), load balance
+// on skewed node-id populations where `v % N` aliases, and budget-exhausted
+// exclusion without refusal churn.
 
 #include <gtest/gtest.h>
 
@@ -81,37 +81,6 @@ TEST(RoutingTest, RemovingABackendOnlyMovesItsOwnNodes) {
           << "node " << ids[i] << " moved though its backend survived";
     }
   }
-}
-
-TEST(RoutingTest, DuplicateNameTiesBreakByLoadThenIndex) {
-  // Two backends sharing a name score identically for every node, so the
-  // tie-break chain is fully exercised: equal planned load → lower index;
-  // after the lower-index twin absorbs a request, the other twin leads.
-  SocialNetwork net(Grid(32, 32));
-  const std::vector<std::string> names = {"dup", "dup", "unique"};
-  BackendPool pool(net, NamedBackends(names), RetryPolicy{},
-                   BackendSelection::kRendezvous, kFaultSeed);
-  std::vector<NodeId> ids;
-  for (NodeId v = 0; v < 200; ++v) ids.push_back(v);
-  const auto plan = pool.PlanPrefetch(ids);
-  ASSERT_TRUE(plan.has_value());
-  std::vector<NodeId> dup_nodes;
-  size_t unique_wins = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    // On a fresh pool every dup-vs-dup tie resolves to index 0 — index 1
-    // must never be picked while loads are equal.
-    EXPECT_NE((*plan)[i], 1u) << "node " << ids[i];
-    if ((*plan)[i] == 0u) dup_nodes.push_back(ids[i]);
-    if ((*plan)[i] == 2u) ++unique_wins;
-  }
-  ASSERT_GE(dup_nodes.size(), 2u);  // both outcomes actually occur
-  EXPECT_GT(unique_wins, 0u);
-  // Fetch one dup-won node for real: the plan-time load tie-break now
-  // prefers the idle twin (index 1) for the next dup-won node.
-  ASSERT_TRUE(pool.Query(dup_nodes[0]).has_value());
-  const auto after = pool.PlanPrefetch({&dup_nodes[1], 1});
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ((*after)[0], 1u);
 }
 
 TEST(RoutingTest, SpreadsStridedNodeIdsWhereShardingAliases) {
@@ -213,22 +182,6 @@ TEST(RoutingTest, AllBudgetsSpentPlansNothingAndRefusesLoudly) {
                 pool.backend_stats(1).budget_refusals,
             0u);
   EXPECT_EQ(pool.QueryCost(), 2u);  // refused fetches cost nothing
-}
-
-TEST(RoutingTest, PlanPrefetchDeclinesStatefulPolicies) {
-  // Cursor/load policies have no honest routing preview — the pick moves
-  // with mutable state — so the prefetcher must get "no answer", never a
-  // guess that could desynchronize tickets from the real plan.
-  SocialNetwork net(Grid(8, 8));
-  const NodeId probe = 3;
-  for (BackendSelection policy :
-       {BackendSelection::kRoundRobin, BackendSelection::kLeastLoaded,
-        BackendSelection::kBudgetAware}) {
-    BackendPool pool(net, NamedBackends({"a", "b"}), RetryPolicy{}, policy,
-                     kFaultSeed);
-    EXPECT_FALSE(pool.PlanPrefetch({&probe, 1}).has_value())
-        << BackendSelectionName(policy);
-  }
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ constexpr const char* kFullDocument = R"({
   "num_samples": 64,
   "thinning": 10,
   "total_budget": 9000,
-  "routing": "budget_aware",
+  "routing": "rendezvous",
   "fault_seed": 1337,
   "retry": {"max_attempts_per_backend": 5, "base_backoff_us": 2000,
             "multiplier": 1.5, "max_backoff_us": 50000, "jitter": 0.25},
@@ -51,7 +51,7 @@ TEST(ScenarioConfigTest, ParsesFullDocument) {
   EXPECT_EQ(config.max_burn_in_rounds, 500u);
   EXPECT_EQ(config.num_samples, 64u);
   EXPECT_EQ(config.total_budget, 9000u);
-  EXPECT_EQ(config.strategy, BackendSelection::kBudgetAware);
+  EXPECT_EQ(config.strategy, BackendSelection::kRendezvous);
   EXPECT_EQ(config.fault_seed, 1337u);
   EXPECT_EQ(config.retry.max_attempts_per_backend, 5u);
   EXPECT_DOUBLE_EQ(config.retry.jitter, 0.25);
@@ -231,8 +231,8 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   b.pipeline_depth = 2;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // ...and for the routing strategy, excluded on live-rotation grounds: a
-  // checkpoint resumed under a different policy continues as a hybrid
-  // trajectory instead of failing the fingerprint check.
+  // sharded checkpoint resumed under rendezvous (or back) continues as a
+  // hybrid trajectory instead of failing the fingerprint check.
   b = a;
   b.strategy = BackendSelection::kRendezvous;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
@@ -261,6 +261,20 @@ TEST(ScenarioConfigTest, RoutingSelectsTheBackendPolicy) {
             BackendSelection::kRendezvous);
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"routing": "random"})"),
                std::invalid_argument);
+  // The stateful policies are gone: every legal routing is a pure function
+  // of the node, and the error names both survivors.
+  for (const char* gone : {"round_robin", "least_loaded", "budget_aware"}) {
+    SCOPED_TRACE(gone);
+    try {
+      ScenarioConfig::FromJsonText(std::string(R"({"routing": ")") + gone +
+                                   R"("})");
+      FAIL() << "stateful routing accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("\"sharded\""), std::string::npos) << what;
+      EXPECT_NE(what.find("\"rendezvous\""), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ScenarioConfigTest, ParsesPipelineDepth) {

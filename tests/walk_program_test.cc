@@ -109,7 +109,6 @@ void ExpectResultsBitIdentical(const ServiceResult& want,
 
 void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& want,
                                const BackendPool::PoolSnapshot& got) {
-  EXPECT_EQ(want.round_robin_cursor, got.round_robin_cursor);
   EXPECT_EQ(want.failed_fetches, got.failed_fetches);
   ASSERT_EQ(want.ledgers.size(), got.ledgers.size());
   for (size_t b = 0; b < want.ledgers.size(); ++b) {
