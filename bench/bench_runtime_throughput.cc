@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -90,9 +89,6 @@ struct Row {
   uint64_t unique_queries = 0;
   uint64_t backend_requests = 0;
   double spec_hit_rate = -1.0;  ///< MTO speculation hit rate; -1 when N/A
-  /// Block-engine rows only (all zero elsewhere): the spillable tier's
-  /// segment traffic, straight from ConcurrentInterfaceCache::spill_stats.
-  ConcurrentInterfaceCache::SpillStats spill{};
   std::vector<NodeId> positions;
 };
 
@@ -298,11 +294,9 @@ Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
 }
 
 /// Block-major engine run (DESIGN.md §14): same walkers/seed/trajectories
-/// as RunScheduler's free-run, but stepped block-by-block over a bounded
-/// resident budget with per-block spill segments under `spill_dir`.
+/// as RunScheduler's free-run, but stepped block by block.
 Row RunBlockScheduler(const SocialNetwork& net, size_t walkers,
-                      size_t threads, size_t rounds, NodeId block_size,
-                      size_t resident, const std::string& spill_dir) {
+                      size_t threads, size_t rounds, NodeId block_size) {
   RestrictedInterface base(net);
   ConcurrentInterfaceCache session(base);
   CrawlConfig config;
@@ -310,8 +304,6 @@ Row RunBlockScheduler(const SocialNetwork& net, size_t walkers,
   config.num_threads = threads;
   config.schedule = ScheduleMode::kBlock;
   config.block_size = block_size;
-  config.resident_blocks = resident;
-  config.spill_dir = spill_dir;
   CrawlScheduler scheduler(session, config, kSeed, MakeWalker);
   const auto start = std::chrono::steady_clock::now();
   scheduler.RunRounds(rounds);
@@ -319,7 +311,7 @@ Row RunBlockScheduler(const SocialNetwork& net, size_t walkers,
 
   Row row;
   row.section = "block-engine";
-  row.mode = "block-r" + std::to_string(resident);
+  row.mode = "block";
   row.walkers = walkers;
   row.threads = threads;
   row.batch = 1;
@@ -330,7 +322,6 @@ Row RunBlockScheduler(const SocialNetwork& net, size_t walkers,
       static_cast<double>(walkers * rounds) / (row.wall_ms / 1000.0);
   row.unique_queries = session.QueryCost();
   row.backend_requests = session.BackendRequests();
-  row.spill = session.spill_stats();
   row.positions = scheduler.Positions();
   return row;
 }
@@ -369,39 +360,11 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
         << ", \"steps_per_sec\": " << r.steps_per_sec
         << ", \"unique_queries\": " << r.unique_queries
         << ", \"backend_requests\": " << r.backend_requests
-        << ", \"spec_hit_rate\": " << r.spec_hit_rate
-        << ", \"spill_loads\": " << r.spill.loads
-        << ", \"spill_evictions\": " << r.spill.evictions
-        << ", \"spill_demand_reloads\": " << r.spill.demand_reloads
-        << ", \"spill_segment_files\": " << r.spill.segment_files
-        << ", \"spill_segment_bytes\": " << r.spill.segment_bytes << "}"
+        << ", \"spec_hit_rate\": " << r.spec_hit_rate << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "]\n";
   std::cout << "wrote " << rows.size() << " rows to " << path << "\n";
-}
-
-/// Spill-segment statistics of the block-engine rows alone, as their own
-/// JSON document — CI uploads this next to the perf baselines so segment
-/// growth is visible per run without digging through the throughput rows.
-void WriteSpillJson(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream out(path);
-  out << "[\n";
-  bool first = true;
-  for (const Row& r : rows) {
-    if (r.section != "block-engine") continue;
-    if (!first) out << ",\n";
-    first = false;
-    out << "  {\"mode\": \"" << r.mode << "\", \"walkers\": " << r.walkers
-        << ", \"rounds\": " << r.rounds
-        << ", \"spill_loads\": " << r.spill.loads
-        << ", \"spill_evictions\": " << r.spill.evictions
-        << ", \"spill_demand_reloads\": " << r.spill.demand_reloads
-        << ", \"spill_segment_files\": " << r.spill.segment_files
-        << ", \"spill_segment_bytes\": " << r.spill.segment_bytes << "}";
-  }
-  out << "\n]\n";
-  std::cout << "wrote spill-segment stats to " << path << "\n";
 }
 
 }  // namespace
@@ -410,7 +373,7 @@ int main(int argc, char** argv) {
   if (mto::bench::SmokeOrHelpExit(
           argc, argv, "bench_runtime_throughput",
           "[--dataset=NAME] [--walkers=N] [--rounds=N] "
-          "[--max-block-walkers=N] [--json=PATH] [--spill-json=PATH]")) {
+          "[--max-block-walkers=N] [--json=PATH]")) {
     return 0;
   }
   std::string dataset = "epinions_small";
@@ -418,7 +381,6 @@ int main(int argc, char** argv) {
   size_t rounds = 2000;
   size_t max_block_walkers = 1000000;
   std::string json_path;
-  std::string spill_json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dataset=", 10) == 0) dataset = argv[i] + 10;
     if (std::strncmp(argv[i], "--walkers=", 10) == 0) {
@@ -431,9 +393,6 @@ int main(int argc, char** argv) {
       max_block_walkers = static_cast<size_t>(std::atoll(argv[i] + 20));
     }
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-    if (std::strncmp(argv[i], "--spill-json=", 13) == 0) {
-      spill_json_path = argv[i] + 13;
-    }
   }
 
   SocialNetwork net(MakeDataset(dataset));
@@ -578,21 +537,16 @@ int main(int argc, char** argv) {
   PrintSection("Per-program throughput (200us RTT, coalesced batch 64)",
                prog_rows, prog_rows.front());
 
-  // --- Block-partitioned engine: walker counts 1e2 -> 1e6 over bounded
-  // resident budgets (CPU-bound — the cost under the microscope is the
-  // engine's own bucketing, eviction, and segment I/O, not backend RTTs).
-  // The step budget is held constant across counts, so each row's
-  // steps/sec is comparable and the 1e6 row is the millions-of-walkers
-  // acceptance shape. Every block row must land bit-identical positions
-  // and cost against its walker-major twin.
+  // --- Block-partitioned engine: walker counts 1e2 -> 1e6 (CPU-bound —
+  // the cost under the microscope is the engine's own bucketing and block
+  // barriers, not backend RTTs). The step budget is held constant across
+  // counts, so each row's steps/sec is comparable and the 1e6 row is the
+  // millions-of-walkers shape. Every block row must land bit-identical
+  // positions and cost against its walker-major twin.
   std::vector<Row> blk_rows;
   {
     const NodeId blk_size =
         std::max<NodeId>(64, static_cast<NodeId>(net.num_users() / 32));
-    const std::string spill_root =
-        (std::filesystem::temp_directory_path() /
-         ("mto.bench.spill." + std::to_string(static_cast<uint64_t>(getpid()))))
-            .string();
     std::vector<size_t> counts{100, 10000};
     if (max_block_walkers != 0 &&
         std::find(counts.begin(), counts.end(), max_block_walkers) ==
@@ -605,23 +559,15 @@ int main(int argc, char** argv) {
                                     MakeWalker, "walker-major");
       walker_row.section = "block-engine";
       blk_rows.push_back(walker_row);
-      for (size_t resident : {size_t{2}, size_t{8}}) {
-        Row row = RunBlockScheduler(
-            net, count, 8, blk_rounds, blk_size, resident,
-            spill_root + "/w" + std::to_string(count) + "_r" +
-                std::to_string(resident));
-        if (row.positions != walker_row.positions ||
-            row.unique_queries != walker_row.unique_queries) {
-          ok = false;
-          std::cout << "DETERMINISM VIOLATION: block engine (walkers="
-                    << count << ", resident=" << resident
-                    << ") diverges from walker-major\n";
-        }
-        blk_rows.push_back(row);
+      Row row = RunBlockScheduler(net, count, 8, blk_rounds, blk_size);
+      if (row.positions != walker_row.positions ||
+          row.unique_queries != walker_row.unique_queries) {
+        ok = false;
+        std::cout << "DETERMINISM VIOLATION: block engine (walkers=" << count
+                  << ") diverges from walker-major\n";
       }
+      blk_rows.push_back(row);
     }
-    std::error_code ec;
-    std::filesystem::remove_all(spill_root, ec);
   }
   PrintSection("Block-partitioned engine (CPU-bound, 8 threads)", blk_rows,
                blk_rows.front());
@@ -653,6 +599,5 @@ int main(int argc, char** argv) {
   all.insert(all.end(), obs_rows.begin(), obs_rows.end());
   all.insert(all.end(), blk_rows.begin(), blk_rows.end());
   if (!json_path.empty()) WriteJson(json_path, all);
-  if (!spill_json_path.empty()) WriteSpillJson(spill_json_path, all);
   return ok ? 0 : 1;
 }

@@ -26,18 +26,8 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
     cache_->SetFetchMode(config.fetch_mode, config.fetch_threads);
     cache_->SetPipelineDepth(config.pipeline_depth, config.fetch_threads);
   }
-  if (config.schedule == ScheduleMode::kBlock) {
-    if (cache_ == nullptr) {
-      throw std::invalid_argument(
-          "CrawlScheduler: block scheduling requires a "
-          "ConcurrentInterfaceCache session");
-    }
-    // GraphPartitioner validates block_size >= 1; the cache validates the
-    // budget and spill directory and owns the partitioner by value (it
-    // outlives this scheduler inside CrawlService).
-    cache_->ConfigureBlocks(
-        GraphPartitioner(interface.num_users(), config.block_size),
-        config.resident_blocks, config.spill_dir);
+  if (config.schedule == ScheduleMode::kBlock && config.block_size == 0) {
+    throw std::invalid_argument("CrawlScheduler: block_size must be >= 1");
   }
   // Fork per-walker streams in index order: walker i's stream is a function
   // of (seed, i) only, never of num_walkers' layout or num_threads.
@@ -262,7 +252,13 @@ void CrawlScheduler::RunBlockRounds(size_t rounds,
                                     std::vector<double>* diagnostics) {
   obs::TraceSpan window_span(trace_, "rounds.block", rounds);
   const size_t W = walkers_.size();
-  const GraphPartitioner& part = cache_->partitioner();
+  // Blocks are contiguous id ranges: node v lives in block v / block_size.
+  const NodeId block_size = config_.block_size;
+  const size_t num_blocks =
+      (size_t{interface_->num_users()} + block_size - 1) / block_size;
+  const auto block_of = [&](size_t i) -> uint32_t {
+    return walkers_[i]->current() / block_size;
+  };
   size_t diag_base = 0;
   if (diagnostics != nullptr) {
     diag_base = diagnostics->size();
@@ -276,10 +272,10 @@ void CrawlScheduler::RunBlockRounds(size_t rounds,
   // diagnostics trace is also order-free — each step writes its value to
   // the same round-major slot walker-major would (diag_base + r*W + i).
   std::vector<size_t> remaining(W, rounds);
-  std::vector<std::vector<size_t>> buckets(part.num_blocks());
-  std::vector<uint64_t> pressure(part.num_blocks(), 0);
+  std::vector<std::vector<size_t>> buckets(num_blocks);
+  std::vector<uint64_t> pressure(num_blocks, 0);
   for (size_t i = 0; i < W; ++i) {
-    const uint32_t b = part.BlockOf(walkers_[i]->current());
+    const uint32_t b = block_of(i);
     buckets[b].push_back(i);
     pressure[b] += rounds;
   }
@@ -300,7 +296,6 @@ void CrawlScheduler::RunBlockRounds(size_t rounds,
         best_pressure = pressure[b];
       }
     }
-    cache_->EnsureResident(best);
     active = std::move(buckets[best]);
     buckets[best].clear();
     pressure[best] = 0;
@@ -318,7 +313,7 @@ void CrawlScheduler::RunBlockRounds(size_t rounds,
           --live;
           continue;
         }
-        const uint32_t b = part.BlockOf(walkers_[i]->current());
+        const uint32_t b = block_of(i);
         if (b == best) {
           active[out++] = i;
         } else {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -16,10 +17,10 @@
 namespace mto {
 
 /// Walker-major (the classic mode: every walker steps every round) vs
-/// block-major (randgraph-style: walkers are bucketed by the graph block
-/// holding their current position, and the scheduler drains one loaded
-/// block at a time). Pure execution shape — samples, trace, estimates and
-/// ledgers are bit-identical across modes (DESIGN.md §14).
+/// block-major (randgraph-style: walkers are bucketed by the id-range block
+/// holding their current position, and the scheduler drains one block at a
+/// time). Pure execution order — samples, trace, estimates and ledgers are
+/// bit-identical across modes (DESIGN.md §14).
 enum class ScheduleMode { kWalker, kBlock };
 
 /// Configuration of a CrawlScheduler.
@@ -64,19 +65,19 @@ struct CrawlConfig {
   /// empty = no labeled twins. Purely observational — never consulted on
   /// the step path.
   std::string program_label = {};
-  /// Block-major scheduling (requires a ConcurrentInterfaceCache): walkers
-  /// bucket by the block of their current position, the highest-pressure
+  /// Block-major scheduling: walkers bucket by the block of their current
+  /// position (node v lives in block v / block_size), the highest-pressure
   /// block (sum of live walkers' remaining steps in this RunRounds window)
-  /// loads next, and its walkers step to a barrier until each finishes the
-  /// window or walks out of the block. Takes walker counts to millions:
-  /// the resident set is bounded by `resident_blocks` blocks, evicted
-  /// blocks spill to segments under `spill_dir` (DESIGN.md §14).
+  /// drains next, and its walkers step to a barrier until each finishes the
+  /// window or walks out of the block. It only orders walker steps; every
+  /// block shares the one lock-free cache (DESIGN.md §14).
   ScheduleMode schedule = ScheduleMode::kWalker;
   /// Nodes per block (block mode only; must be >= 1 there).
   NodeId block_size = 0;
-  /// Max loaded blocks (block mode only; must be >= 1 there).
+  /// No-op fields, read by nothing. perfbench/perfbench.cc still assigns
+  /// them, and that file changes only together with the benchmark, so they
+  /// stay until the benchmark's next revision drops those assignments.
   size_t resident_blocks = 0;
-  /// Directory for evicted block segments (block mode only; non-empty).
   std::string spill_dir = {};
 };
 
@@ -178,8 +179,8 @@ class CrawlScheduler {
   /// Walker-major coalesced rounds: every round steps all walkers through
   /// StepActive.
   void RunCoalescedRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// Block-major window: bucket → pressure pick → EnsureResident →
-  /// StepActive barriers until the bucket drains (DESIGN.md §14).
+  /// Block-major window: bucket → pressure pick → StepActive barriers
+  /// until the bucket drains (DESIGN.md §14).
   /// Diagnostics land in the same round-major slots the walker-major modes
   /// fill — the trace is bit-identical by construction.
   void RunBlockRounds(size_t rounds, std::vector<double>* diagnostics);

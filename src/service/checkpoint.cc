@@ -79,6 +79,7 @@ class Reader {
     }
     return n;
   }
+  uint64_t remaining() const { return remaining_; }
 
  private:
   std::istream* in_;
@@ -200,23 +201,6 @@ void ServiceCheckpoint::Save(const std::string& path) const {
     }
     w.U64(so_checksum.hash());
 
-    // Block-residency section (v4): spilled entries + loaded-block LRU,
-    // checksummed like the sections before it; empty under walker-major
-    // scheduling but always written (fixed section order, no optionality).
-    SectionChecksum res_checksum;
-    res_checksum.Mix(residency.spilled.size());
-    w.U64(residency.spilled.size());
-    for (NodeId v : residency.spilled) {
-      res_checksum.Mix(v);
-      w.U32(v);
-    }
-    res_checksum.Mix(residency.loaded_blocks.size());
-    w.U64(residency.loaded_blocks.size());
-    for (uint32_t b : residency.loaded_blocks) {
-      res_checksum.Mix(b);
-      w.U32(b);
-    }
-    w.U64(res_checksum.hash());
     // Flush + close before the rename so buffered-write errors surface
     // while the previous checkpoint is still intact on disk.
     out.flush();
@@ -250,7 +234,8 @@ ServiceCheckpoint ServiceCheckpoint::Load(const std::string& path) {
     throw std::runtime_error(
         "checkpoint: unsupported version " + std::to_string(version) +
         (version > kVersion ? " (written by a future build)"
-                            : " (predates the v5 pool section)"));
+                            : " (predates v6, which drops the block-residency "
+                              "section)"));
   }
   ServiceCheckpoint ckpt;
   ckpt.config_fingerprint = r.U64();
@@ -354,24 +339,10 @@ ServiceCheckpoint ServiceCheckpoint::Load(const std::string& path) {
     throw std::runtime_error(
         "checkpoint: second-order-section checksum mismatch in " + path);
   }
-
-  // Block-residency section (v4), checksummed like the ones before it.
-  SectionChecksum res_checksum;
-  ckpt.residency.spilled.resize(r.Count(kMaxCount, 4));
-  res_checksum.Mix(ckpt.residency.spilled.size());
-  for (NodeId& v : ckpt.residency.spilled) {
-    v = r.U32();
-    res_checksum.Mix(v);
-  }
-  ckpt.residency.loaded_blocks.resize(r.Count(1 << 24, 4));
-  res_checksum.Mix(ckpt.residency.loaded_blocks.size());
-  for (uint32_t& b : ckpt.residency.loaded_blocks) {
-    b = r.U32();
-    res_checksum.Mix(b);
-  }
-  if (r.U64() != res_checksum.hash()) {
-    throw std::runtime_error(
-        "checkpoint: block-residency-section checksum mismatch in " + path);
+  // The second-order section is the last one: anything after it is not a
+  // v6 image (an older file relabelled, or bytes appended to a valid one).
+  if (r.remaining() != 0) {
+    throw std::runtime_error("checkpoint: trailing bytes in " + path);
   }
   return ckpt;
 }

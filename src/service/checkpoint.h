@@ -33,19 +33,19 @@ enum class CrawlPhase : uint8_t { kBurnIn = 0, kSampling = 1, kDone = 2 };
 /// Version 3 appends the second-order walker section (the (prev, cur)
 /// register of second-order programs like node2vec), checksummed the same
 /// way — the v2 walker record layout is unchanged, so the new state rides
-/// in its own trailing section. Version 4 appends the block-residency
-/// section (which cached entries sit spilled in on-disk block segments and
-/// which blocks are loaded, for block-major scheduling — DESIGN.md §14),
-/// checksummed the same way and always present (empty under walker-major
-/// scheduling). Version 5 drops the routing cursor from the pool section
+/// in its own trailing section. Version 4 appended a block-residency
+/// section, and version 5 dropped the routing cursor from the pool section
 /// (every routing policy is a pure function of the node), leaving the
-/// ledgers followed by the failed-fetch count. Any version other than
-/// kVersion is rejected (older checkpoints carry the wider pool section;
-/// newer ones come from a future build) — there is no silent downgrade
-/// path. A fingerprint of the scenario (ScenarioConfig::Fingerprint) guards
-/// against resuming under a different configuration.
+/// ledgers followed by the failed-fetch count. Version 6 drops the
+/// block-residency section again (block scheduling only orders walker
+/// steps and keeps no cache state), so the second-order section ends the
+/// file and any byte after it is an error. Any version other than kVersion
+/// is rejected, and the error names the refused version — there is no
+/// silent downgrade path. A fingerprint of the scenario
+/// (ScenarioConfig::Fingerprint) guards against resuming under a different
+/// configuration.
 struct ServiceCheckpoint {
-  static constexpr uint32_t kVersion = 5;
+  static constexpr uint32_t kVersion = 6;
 
   uint64_t config_fingerprint = 0;
 
@@ -97,27 +97,14 @@ struct ServiceCheckpoint {
   };
   std::vector<SecondOrderRecord> second_order;
 
-  // Block residency (v4; block-major scheduling only, else both empty):
-  // the cached node ids currently spilled to block segments (ascending)
-  // and the loaded blocks in LRU order (oldest first). Serialized as the
-  // file's trailing section with its own FNV-1a checksum. Locality state,
-  // not trajectory state: a walker-major resume ignores it (everything
-  // resident), and a block-major resume regroups it under its own
-  // partition — which is why schedule/block knobs stay out of the
-  // fingerprint.
-  struct ResidencySection {
-    std::vector<NodeId> spilled;
-    std::vector<uint32_t> loaded_blocks;
-  };
-  ResidencySection residency;
-
   /// Writes the checkpoint atomically (tmp file + rename) so a crash while
   /// saving never corrupts the previous checkpoint. Throws
   /// std::runtime_error on I/O failure.
   void Save(const std::string& path) const;
 
   /// Loads and validates magic/version/structure. Throws
-  /// std::runtime_error on I/O errors, corruption, or version mismatch.
+  /// std::runtime_error on I/O errors, corruption, version mismatch, or
+  /// bytes left over after the last section.
   static ServiceCheckpoint Load(const std::string& path);
 };
 

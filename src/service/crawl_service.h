@@ -60,7 +60,6 @@ class CrawlService {
  public:
   /// Builds the full stack; throws on invalid config or unknown dataset.
   explicit CrawlService(const ScenarioConfig& config);
-  ~CrawlService();
 
   CrawlService(const CrawlService&) = delete;
   CrawlService& operator=(const CrawlService&) = delete;
@@ -174,12 +173,6 @@ class CrawlService {
   std::vector<double> diagnostics_stream_;
   std::vector<ServiceCheckpoint::SampleRecord> samples_stream_;
   std::vector<double> diag_scratch_;
-
-  /// Spill directory this service created because the scenario selected
-  /// block scheduling without naming one (a unique directory under the
-  /// system temp dir); removed in the destructor. Empty when the scenario
-  /// named its own directory or runs walker-major.
-  std::string owned_spill_dir_;
 
   bool started_ = false;  ///< any Advance or LoadCheckpoint happened
   bool finished_ = false;

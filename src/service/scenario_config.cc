@@ -240,16 +240,10 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   }
   if (root.Has("block")) {
     const JsonValue& block = root.At("block");
-    CheckKeys(block, "block", {"size", "resident", "spill_dir"});
+    CheckKeys(block, "block", {"size"});
     config.block_configured = true;
     if (block.Has("size")) {
       config.block_size = static_cast<NodeId>(block.At("size").AsUint());
-    }
-    if (block.Has("resident")) {
-      config.resident_blocks = block.At("resident").AsUint();
-    }
-    if (block.Has("spill_dir")) {
-      config.spill_dir = block.At("spill_dir").AsString();
     }
   }
   if (root.Has("queue_capacity")) {
@@ -424,9 +418,6 @@ void ScenarioConfig::Validate() const {
   if (block_size == 0) {
     throw std::invalid_argument("ScenarioConfig: block.size must be >= 1");
   }
-  if (resident_blocks == 0) {
-    throw std::invalid_argument("ScenarioConfig: block.resident must be >= 1");
-  }
   retry.Validate();
   for (const auto& backend : backends) backend.Validate();
   if (checkpoint.every_units > 0 && checkpoint.path.empty()) {
@@ -509,20 +500,19 @@ uint64_t ScenarioConfig::Fingerprint() const {
   // pipeline_depth, and queue_capacity are deliberately excluded: results
   // are bit-identical across them (the runtime contract), so a checkpoint
   // from a 1-thread sync run may resume on 8 threads with pipelined async
-  // fetches, and vice versa. The schedule mode and block knobs
-  // (size/resident/spill_dir) are excluded for the same reason — block-major
-  // scheduling only reorders *when* walkers step, never their trajectories
-  // (block_scheduler_test pins bitwise identity), so a walker-major
-  // checkpoint resumes under block scheduling and back; the v4 residency
-  // section is locality state, regrouped under the resumed partition. The observability block is excluded for the
-  // same reason — telemetry is strictly passive (no RNG draws, no queries,
-  // no session-state mutation), so a run may be resumed with observability
-  // toggled either way. The routing strategy is excluded too — not
-  // because results match across policies (they don't), but because
-  // resuming sharded under rendezvous or back is a legitimate live
-  // rotation: the ledgers, cache, and walker states are policy-independent
-  // facts (neither policy keeps routing state), and the trajectory simply
-  // becomes hybrid from the resume point on.
+  // fetches, and vice versa. The schedule mode and block.size are excluded
+  // for the same reason — block-major scheduling only reorders *when*
+  // walkers step, never their trajectories (block_scheduler_test pins
+  // bitwise identity), and it keeps no state of its own, so a walker-major
+  // checkpoint resumes under block scheduling and back. The observability
+  // block is excluded for the same reason — telemetry is strictly passive
+  // (no RNG draws, no queries, no session-state mutation), so a run may be
+  // resumed with observability toggled either way. The routing strategy is
+  // excluded too — not because results match across policies (they
+  // don't), but because resuming sharded under rendezvous or back is a
+  // legitimate live rotation: the ledgers, cache, and walker states are
+  // policy-independent facts (neither policy keeps routing state), and the
+  // trajectory simply becomes hybrid from the resume point on.
   return fnv.hash();
 }
 
