@@ -1,7 +1,6 @@
 #include "src/runtime/crawl_scheduler.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "src/core/mto_sampler.h"
 #include "src/runtime/concurrent_interface_cache.h"
@@ -161,16 +160,16 @@ void CrawlScheduler::StepActive(std::span<const size_t> active,
   // outcomes are *planned* (cache marked, costs charged), leaving the
   // per-backend latency in flight on the lanes while phase 3 commits.
   frontier_.clear();
-  {
-    std::unordered_set<NodeId> seen;
-    for (const size_t i : active) {
-      if (!proposals_[i]) continue;
-      const NodeId v = *proposals_[i];
-      if (!interface_->IsCached(v) && seen.insert(v).second) {
-        frontier_.push_back(v);
-      }
-    }
+  for (const size_t i : active) {
+    if (!proposals_[i]) continue;
+    const NodeId v = *proposals_[i];
+    if (interface_->IsCached(v)) continue;
+    if (v >= in_frontier_.size()) in_frontier_.resize(size_t{v} + 1);
+    if (in_frontier_[v]) continue;
+    in_frontier_[v] = true;
+    frontier_.push_back(v);
   }
+  for (const NodeId v : frontier_) in_frontier_[v] = false;
   if (!frontier_.empty()) {
     obs::TraceSpan fetch_span(trace_,
                               pipelined ? "frontier.plan" : "frontier.fetch",

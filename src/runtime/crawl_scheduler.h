@@ -225,6 +225,9 @@ class CrawlScheduler {
   std::vector<size_t> all_walkers_;  // 0..W-1: the walker-major active set
   std::vector<std::optional<NodeId>> proposals_;
   std::vector<NodeId> frontier_;
+  // Dedupe marks for frontier_, indexed by node id; all false between
+  // rounds, so a round costs no allocation once it has grown.
+  std::vector<bool> in_frontier_;
   std::vector<std::vector<NodeId>> peeks_;  // per-walker prefetch hints
   std::vector<NodeId> predicted_;
 };

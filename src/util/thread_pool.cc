@@ -1,74 +1,138 @@
 #include "src/util/thread_pool.h"
 
+#include <stdexcept>
+
 namespace mto {
+namespace {
+
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins until `ready()` holds or kSpinCap elapses; returns ready(). The
+// clock is read every 32 pauses, not every one.
+template <typename Ready>
+bool SpinUntil(Ready ready) {
+  const int64_t deadline = NowNs() + ThreadPool::kSpinCap.count();
+  for (unsigned i = 1;; ++i) {
+    if (ready()) return true;
+    CpuRelax();
+    if (i % 32 == 0 && NowNs() > deadline) return ready();
+  }
+}
+
+// Whether a wait that began at `start_ns` and was signalled at
+// `signalled_ns` would have fit inside the spin cap.
+bool FitsSpinCap(int64_t start_ns, int64_t signalled_ns) {
+  return signalled_ns - start_ns <= ThreadPool::kSpinCap.count();
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads)
-    : num_threads_(num_threads == 0 ? 1 : num_threads) {
-  if (num_threads_ == 1) return;  // inline mode
-  workers_.reserve(num_threads_);
-  for (size_t i = 0; i < num_threads_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    : num_threads_(num_threads == 0 ? 1 : num_threads),
+      spin_(num_threads_ <= std::thread::hardware_concurrency()),
+      caller_spins_(spin_) {
+  workers_.reserve(num_threads_ - 1);
+  for (size_t lane = 1; lane < num_threads_; ++lane) {
+    workers_.emplace_back([this, lane] { WorkerLoop(lane); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  start_cv_.notify_all();
+  stopping_ = true;
+  // The publishing RMW is seq_cst: std::atomic::notify skips the wake-up
+  // when it sees no registered waiter, and that check must not be
+  // reordered before the bump a parking waiter re-reads.
+  epoch_.fetch_add(1);
+  epoch_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::Run(const std::function<void(size_t)>& fn) {
+  if (in_region_.exchange(true, std::memory_order_acquire)) {
+    throw std::logic_error("ThreadPool::Run called from inside a region");
+  }
+  struct RegionExit {
+    std::atomic<bool>& in_region;
+    ~RegionExit() { in_region.store(false, std::memory_order_release); }
+  } region_exit{in_region_};
   if (workers_.empty()) {
     fn(0);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &fn;
-    remaining_ = num_threads_;
+  job_ = &fn;
+  remaining_.store(static_cast<uint32_t>(workers_.size()),
+                   std::memory_order_relaxed);
+  published_ns_.store(NowNs(), std::memory_order_relaxed);
+  epoch_.fetch_add(1);  // seq_cst: see ~ThreadPool
+  epoch_.notify_all();
+
+  RunLane(0);
+
+  // `fn` lives on the caller's stack: wait for every lane, even when lane 0
+  // threw, before returning or rethrowing.
+  const int64_t start = NowNs();
+  const auto done = [this] {
+    return remaining_.load(std::memory_order_acquire) == 0;
+  };
+  if (!(caller_spins_ && SpinUntil(done))) {
+    for (uint32_t r; (r = remaining_.load(std::memory_order_acquire)) != 0;) {
+      remaining_.wait(r, std::memory_order_acquire);
+    }
+  }
+  caller_spins_ =
+      spin_ && FitsSpinCap(start, done_ns_.load(std::memory_order_relaxed));
+  job_ = nullptr;
+  if (has_error_.load(std::memory_order_relaxed)) {
+    std::exception_ptr error = std::move(first_error_);
     first_error_ = nullptr;
-    ++epoch_;
+    has_error_.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(error);
   }
-  start_cv_.notify_all();
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    job_ = nullptr;
-    error = first_error_;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::WorkerLoop(size_t index) {
-  uint64_t seen_epoch = 0;
+void ThreadPool::RunLane(size_t lane) noexcept {
+  try {
+    (*job_)(lane);
+  } catch (...) {
+    if (!has_error_.exchange(true, std::memory_order_relaxed)) {
+      first_error_ = std::current_exception();
+    }
+  }
+}
+
+void ThreadPool::WorkerLoop(size_t lane) {
+  uint64_t seen = 0;
+  bool spins = spin_;
   while (true) {
-    const std::function<void(size_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] {
-        return shutting_down_ || epoch_ != seen_epoch;
-      });
-      if (shutting_down_) return;
-      seen_epoch = epoch_;
-      job = job_;
+    const int64_t start = NowNs();
+    const auto published = [&] {
+      return epoch_.load(std::memory_order_acquire) != seen;
+    };
+    if (!(spins && SpinUntil(published))) {
+      epoch_.wait(seen, std::memory_order_acquire);
     }
-    try {
-      (*job)(index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+    seen = epoch_.load(std::memory_order_acquire);
+    if (stopping_) return;
+    spins = spin_ && FitsSpinCap(
+                         start, published_ns_.load(std::memory_order_relaxed));
+    RunLane(lane);
+    done_ns_.store(NowNs(), std::memory_order_relaxed);
+    if (remaining_.fetch_sub(1) == 1) {  // seq_cst: see ~ThreadPool
+      remaining_.notify_one();
     }
-    bool last;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      last = (--remaining_ == 0);
-    }
-    if (last) done_cv_.notify_all();
   }
 }
 
