@@ -34,8 +34,8 @@ namespace mto {
 /// (`num_threads <= hardware_concurrency`), where a spinning waiter would
 /// steal the core its signaller needs. The cap is one futex park/wake pair:
 /// spinning longer than that costs more than parking would. It is a
-/// constant, not a knob, because the adaptive rule already turns spinning
-/// off wherever it does not pay.
+/// constant, not a knob, because the two rules above already turn spinning
+/// off for long waits and for oversubscribed pools.
 ///
 /// The first exception thrown inside a region, on any lane, is captured and
 /// rethrown from `Run` on the calling thread after every lane finished.
