@@ -293,39 +293,6 @@ Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
   return row;
 }
 
-/// Block-major engine run (DESIGN.md §14): same walkers/seed/trajectories
-/// as RunScheduler's free-run, but stepped block by block.
-Row RunBlockScheduler(const SocialNetwork& net, size_t walkers,
-                      size_t threads, size_t rounds, NodeId block_size) {
-  RestrictedInterface base(net);
-  ConcurrentInterfaceCache session(base);
-  CrawlConfig config;
-  config.num_walkers = walkers;
-  config.num_threads = threads;
-  config.schedule = ScheduleMode::kBlock;
-  config.block_size = block_size;
-  CrawlScheduler scheduler(session, config, kSeed, MakeWalker);
-  const auto start = std::chrono::steady_clock::now();
-  scheduler.RunRounds(rounds);
-  const auto end = std::chrono::steady_clock::now();
-
-  Row row;
-  row.section = "block-engine";
-  row.mode = "block";
-  row.walkers = walkers;
-  row.threads = threads;
-  row.batch = 1;
-  row.rounds = rounds;
-  row.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  row.steps_per_sec =
-      static_cast<double>(walkers * rounds) / (row.wall_ms / 1000.0);
-  row.unique_queries = session.QueryCost();
-  row.backend_requests = session.BackendRequests();
-  row.positions = scheduler.Positions();
-  return row;
-}
-
 void PrintSection(const std::string& title, const std::vector<Row>& rows,
                   const Row& baseline) {
   PrintBanner(std::cout, title);
@@ -372,14 +339,12 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
 int main(int argc, char** argv) {
   if (mto::bench::SmokeOrHelpExit(
           argc, argv, "bench_runtime_throughput",
-          "[--dataset=NAME] [--walkers=N] [--rounds=N] "
-          "[--max-block-walkers=N] [--json=PATH]")) {
+          "[--dataset=NAME] [--walkers=N] [--rounds=N] [--json=PATH]")) {
     return 0;
   }
   std::string dataset = "epinions_small";
   size_t walkers = 64;
   size_t rounds = 2000;
-  size_t max_block_walkers = 1000000;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dataset=", 10) == 0) dataset = argv[i] + 10;
@@ -388,9 +353,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
       rounds = static_cast<size_t>(std::atoll(argv[i] + 9));
-    }
-    if (std::strncmp(argv[i], "--max-block-walkers=", 20) == 0) {
-      max_block_walkers = static_cast<size_t>(std::atoll(argv[i] + 20));
     }
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
   }
@@ -537,41 +499,6 @@ int main(int argc, char** argv) {
   PrintSection("Per-program throughput (200us RTT, coalesced batch 64)",
                prog_rows, prog_rows.front());
 
-  // --- Block-partitioned engine: walker counts 1e2 -> 1e6 (CPU-bound —
-  // the cost under the microscope is the engine's own bucketing and block
-  // barriers, not backend RTTs). The step budget is held constant across
-  // counts, so each row's steps/sec is comparable and the 1e6 row is the
-  // millions-of-walkers shape. Every block row must land bit-identical
-  // positions and cost against its walker-major twin.
-  std::vector<Row> blk_rows;
-  {
-    const NodeId blk_size =
-        std::max<NodeId>(64, static_cast<NodeId>(net.num_users() / 32));
-    std::vector<size_t> counts{100, 10000};
-    if (max_block_walkers != 0 &&
-        std::find(counts.begin(), counts.end(), max_block_walkers) ==
-            counts.end()) {
-      counts.push_back(max_block_walkers);
-    }
-    for (size_t count : counts) {
-      const size_t blk_rounds = std::max<size_t>(1, rounds * 64 / count);
-      Row walker_row = RunScheduler(net, count, 8, blk_rounds, kNoLatency, 0,
-                                    MakeWalker, "walker-major");
-      walker_row.section = "block-engine";
-      blk_rows.push_back(walker_row);
-      Row row = RunBlockScheduler(net, count, 8, blk_rounds, blk_size);
-      if (row.positions != walker_row.positions ||
-          row.unique_queries != walker_row.unique_queries) {
-        ok = false;
-        std::cout << "DETERMINISM VIOLATION: block engine (walkers=" << count
-                  << ") diverges from walker-major\n";
-      }
-      blk_rows.push_back(row);
-    }
-  }
-  PrintSection("Block-partitioned engine (CPU-bound, 8 threads)", blk_rows,
-               blk_rows.front());
-
   // Invariant check across every configuration of a section: walkers only
   // go faster, they never walk elsewhere or pay a different query cost.
   for (const auto* rows : {&cpu_rows, &lat_rows, &mto_rows, &mb_rows,
@@ -597,7 +524,6 @@ int main(int argc, char** argv) {
   all.insert(all.end(), pl_rows.begin(), pl_rows.end());
   all.insert(all.end(), prog_rows.begin(), prog_rows.end());
   all.insert(all.end(), obs_rows.begin(), obs_rows.end());
-  all.insert(all.end(), blk_rows.begin(), blk_rows.end());
   if (!json_path.empty()) WriteJson(json_path, all);
   return ok ? 0 : 1;
 }

@@ -209,6 +209,11 @@ def self_test():
     assert c == 2 and len(r) == 2, (r, c)
     r, c = compare_throughput(old_rows, unmatched, 0.7)
     assert c == 0 and not r, (r, c)
+    # A baseline that still carries rows of a since-deleted bench section
+    # (e.g. block-engine) gates only the rows the new run still has.
+    retired = old_rows + [dict(r, section="block-engine") for r in old_rows]
+    r, c = compare_throughput(retired, fast, 0.7)
+    assert c == 2 and not r, (r, c)
 
     old_micro = {"benchmarks": [
         {"name": "BM_Query", "real_time": 100.0, "time_unit": "ns"},

@@ -25,9 +25,6 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
     cache_->SetFetchMode(config.fetch_mode, config.fetch_threads);
     cache_->SetPipelineDepth(config.pipeline_depth, config.fetch_threads);
   }
-  if (config.schedule == ScheduleMode::kBlock && config.block_size == 0) {
-    throw std::invalid_argument("CrawlScheduler: block_size must be >= 1");
-  }
   // Fork per-walker streams in index order: walker i's stream is a function
   // of (seed, i) only, never of num_walkers' layout or num_threads.
   Rng parent(seed);
@@ -44,8 +41,6 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   pool_ = std::make_unique<ThreadPool>(config.num_threads);
   proposals_.resize(walkers_.size());
   peeks_.resize(walkers_.size());
-  all_walkers_.resize(walkers_.size());
-  for (size_t i = 0; i < walkers_.size(); ++i) all_walkers_[i] = i;
 }
 
 CrawlScheduler::~CrawlScheduler() = default;
@@ -90,9 +85,7 @@ void CrawlScheduler::RunRounds(size_t rounds,
                                std::vector<double>* diagnostics) {
   obs::TraceSpan span(trace_, "scheduler.rounds", rounds);
   const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
-  if (config_.schedule == ScheduleMode::kBlock) {
-    RunBlockRounds(rounds, diagnostics);
-  } else if (config_.coalesce_frontier) {
+  if (config_.coalesce_frontier) {
     RunCoalescedRounds(rounds, diagnostics);
   } else {
     RunFreeRounds(rounds, diagnostics);
@@ -137,32 +130,30 @@ void CrawlScheduler::RunFreeRounds(size_t rounds,
   });
 }
 
-template <typename SlotFn>
-void CrawlScheduler::StepActive(std::span<const size_t> active,
-                                std::vector<double>* diagnostics,
-                                SlotFn slot) {
-  const size_t A = active.size();
+void CrawlScheduler::StepActive(std::vector<double>* diagnostics,
+                                size_t slot_base) {
+  const size_t W = walkers_.size();
   const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
   // Phase 1 (parallel): draw or peek step targets; proposals never fetch.
   pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      Sampler& w = *walkers_[active[k]];
-      proposals_[active[k]] = w.step_protocol() == StepProtocol::kSingleStep
-                                  ? std::nullopt
-                                  : w.ProposeStep();
+    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
+    for (size_t i = begin; i < end; ++i) {
+      Sampler& w = *walkers_[i];
+      proposals_[i] = w.step_protocol() == StepProtocol::kSingleStep
+                          ? std::nullopt
+                          : w.ProposeStep();
     }
   });
   // Phase 2 (coordinator): fetch the deduplicated uncached frontier in
-  // bulk, in walker order. Targets may live anywhere in the graph. The
-  // pipelined engine plans it exactly like BatchQuery would — same thread,
-  // same order, identical state mutations — but returns as soon as the
+  // bulk, in walker order. The pipelined engine plans it exactly like
+  // BatchQuery would — same thread, same order, identical state
+  // mutations — but returns as soon as the
   // outcomes are *planned* (cache marked, costs charged), leaving the
   // per-backend latency in flight on the lanes while phase 3 commits.
   frontier_.clear();
-  for (const size_t i : active) {
-    if (!proposals_[i]) continue;
-    const NodeId v = *proposals_[i];
+  for (const std::optional<NodeId>& proposal : proposals_) {
+    if (!proposal) continue;
+    const NodeId v = *proposal;
     if (interface_->IsCached(v)) continue;
     if (v >= in_frontier_.size()) in_frontier_.resize(size_t{v} + 1);
     if (in_frontier_[v]) continue;
@@ -185,9 +176,8 @@ void CrawlScheduler::StepActive(std::span<const size_t> active,
   // their speculation inside CommitStep (or take a plain Step when there
   // was nothing to prefetch); kSingleStep walks take their whole step here.
   pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      const size_t i = active[k];
+    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
+    for (size_t i = begin; i < end; ++i) {
       Sampler& w = *walkers_[i];
       switch (w.step_protocol()) {
         case StepProtocol::kSingleStep:
@@ -205,7 +195,7 @@ void CrawlScheduler::StepActive(std::span<const size_t> active,
           break;
       }
       if (diagnostics != nullptr) {
-        (*diagnostics)[slot(i)] = w.CurrentDegreeForDiagnostic();
+        (*diagnostics)[slot_base + i] = w.CurrentDegreeForDiagnostic();
       }
     }
   });
@@ -217,15 +207,15 @@ void CrawlScheduler::StepActive(std::span<const size_t> active,
   // the previous step's stale tickets.
   const size_t width = config_.pipeline_depth;
   pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      peeks_[active[k]].clear();
-      walkers_[active[k]]->PeekNextTargets(width, peeks_[active[k]]);
+    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
+    for (size_t i = begin; i < end; ++i) {
+      peeks_[i].clear();
+      walkers_[i]->PeekNextTargets(width, peeks_[i]);
     }
   });
   predicted_.clear();
-  for (const size_t i : active) {
-    for (NodeId v : peeks_[i]) predicted_.push_back(v);
+  for (const std::vector<NodeId>& peeks : peeks_) {
+    predicted_.insert(predicted_.end(), peeks.begin(), peeks.end());
   }
   cache_->PostPrefetchHints(predicted_);
 }
@@ -242,86 +232,7 @@ void CrawlScheduler::RunCoalescedRounds(size_t rounds,
   for (size_t r = 0; r < rounds; ++r) {
     obs::TraceSpan round_span(
         trace_, pipelined ? "round.pipelined" : "round.coalesced");
-    StepActive(all_walkers_, diagnostics,
-               [&](size_t i) { return diag_base + r * W + i; });
-  }
-}
-
-void CrawlScheduler::RunBlockRounds(size_t rounds,
-                                    std::vector<double>* diagnostics) {
-  obs::TraceSpan window_span(trace_, "rounds.block", rounds);
-  const size_t W = walkers_.size();
-  // Blocks are contiguous id ranges: node v lives in block v / block_size.
-  const NodeId block_size = config_.block_size;
-  const size_t num_blocks =
-      (size_t{interface_->num_users()} + block_size - 1) / block_size;
-  const auto block_of = [&](size_t i) -> uint32_t {
-    return walkers_[i]->current() / block_size;
-  };
-  size_t diag_base = 0;
-  if (diagnostics != nullptr) {
-    diag_base = diagnostics->size();
-    diagnostics->resize(diag_base + rounds * W);
-  }
-  if (rounds == 0) return;
-  // Per-walker remaining steps in this window. Block order only changes
-  // *when* a walker steps, never its trajectory: walker i's next move is a
-  // pure function of its own RNG stream and the immutable network, and
-  // CommitStep demand-fetches anything the frontier warm-up missed. The
-  // diagnostics trace is also order-free — each step writes its value to
-  // the same round-major slot walker-major would (diag_base + r*W + i).
-  std::vector<size_t> remaining(W, rounds);
-  std::vector<std::vector<size_t>> buckets(num_blocks);
-  std::vector<uint64_t> pressure(num_blocks, 0);
-  for (size_t i = 0; i < W; ++i) {
-    const uint32_t b = block_of(i);
-    buckets[b].push_back(i);
-    pressure[b] += rounds;
-  }
-  const auto slot = [&](size_t i) {
-    return diag_base + (rounds - remaining[i]) * W + i;
-  };
-  size_t live = W;
-  std::vector<size_t> active;
-  while (live > 0) {
-    // Walk pressure: total outstanding steps of the walkers bucketed in a
-    // block — live-walk count weighted by each walker's remaining budget
-    // in this window. Ties break toward the lowest block id.
-    uint32_t best = 0;
-    uint64_t best_pressure = 0;
-    for (uint32_t b = 0; b < pressure.size(); ++b) {
-      if (pressure[b] > best_pressure) {
-        best = b;
-        best_pressure = pressure[b];
-      }
-    }
-    active = std::move(buckets[best]);
-    buckets[best].clear();
-    pressure[best] = 0;
-    obs::TraceSpan block_span(trace_, "block.drain", active.size());
-    // Drain to a barrier: every bucketed walker steps until it finishes
-    // the window or walks out of the block; emigrants re-bucket and wait
-    // for their new block's turn.
-    while (!active.empty()) {
-      StepActive(active, diagnostics, slot);
-      // Coordinator: account the step, drop finished walkers, re-bucket
-      // emigrants (deterministic: single thread, bucket order).
-      size_t out = 0;
-      for (const size_t i : active) {
-        if (--remaining[i] == 0) {
-          --live;
-          continue;
-        }
-        const uint32_t b = block_of(i);
-        if (b == best) {
-          active[out++] = i;
-        } else {
-          buckets[b].push_back(i);
-          pressure[b] += remaining[i];
-        }
-      }
-      active.resize(out);
-    }
+    StepActive(diagnostics, diag_base + r * W);
   }
 }
 

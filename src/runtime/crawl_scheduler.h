@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -16,11 +15,7 @@
 
 namespace mto {
 
-/// Walker-major (the classic mode: every walker steps every round) vs
-/// block-major (randgraph-style: walkers are bucketed by the id-range block
-/// holding their current position, and the scheduler drains one block at a
-/// time). Pure execution order — samples, trace, estimates and ledgers are
-/// bit-identical across modes (DESIGN.md §14).
+/// Inert: only CrawlConfig's no-op `schedule` field names it (see there).
 enum class ScheduleMode { kWalker, kBlock };
 
 /// Configuration of a CrawlScheduler.
@@ -65,18 +60,12 @@ struct CrawlConfig {
   /// empty = no labeled twins. Purely observational — never consulted on
   /// the step path.
   std::string program_label = {};
-  /// Block-major scheduling: walkers bucket by the block of their current
-  /// position (node v lives in block v / block_size), the highest-pressure
-  /// block (sum of live walkers' remaining steps in this RunRounds window)
-  /// drains next, and its walkers step to a barrier until each finishes the
-  /// window or walks out of the block. It only orders walker steps; every
-  /// block shares the one lock-free cache (DESIGN.md §14).
-  ScheduleMode schedule = ScheduleMode::kWalker;
-  /// Nodes per block (block mode only; must be >= 1 there).
-  NodeId block_size = 0;
   /// No-op fields, read by nothing. perfbench/perfbench.cc still assigns
-  /// them, and that file changes only together with the benchmark, so they
-  /// stay until the benchmark's next revision drops those assignments.
+  /// them, and that file changes only together with the benchmark; the
+  /// benchmark's next revision drops those assignments, then these names.
+  /// Walker-major is the one execution order.
+  ScheduleMode schedule = ScheduleMode::kWalker;
+  NodeId block_size = 0;
   size_t resident_blocks = 0;
   std::string spill_dir = {};
 };
@@ -176,22 +165,13 @@ class CrawlScheduler {
 
  private:
   void RunFreeRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// Walker-major coalesced rounds: every round steps all walkers through
-  /// StepActive.
   void RunCoalescedRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// Block-major window: bucket → pressure pick → StepActive barriers
-  /// until the bucket drains (DESIGN.md §14).
-  /// Diagnostics land in the same round-major slots the walker-major modes
-  /// fill — the trace is bit-identical by construction.
-  void RunBlockRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// The one propose → frontier → commit barrier: steps each walker in
-  /// `active` once (coalesced frontier, then commits), writing walker i's
-  /// diagnostic to `(*diagnostics)[slot(i)]`. Under a live pipeline the
-  /// frontier is planned, not joined, and a peek phase posts the next
-  /// step's prefetch hints (DESIGN.md §10).
-  template <typename SlotFn>
-  void StepActive(std::span<const size_t> active,
-                  std::vector<double>* diagnostics, SlotFn slot);
+  /// The one propose → frontier → commit barrier: steps every walker once
+  /// (coalesced frontier, then commits), writing walker i's diagnostic to
+  /// `(*diagnostics)[slot_base + i]`. Under a live pipeline the frontier is
+  /// planned, not joined, and a peek phase posts the next step's prefetch
+  /// hints (DESIGN.md §10).
+  void StepActive(std::vector<double>* diagnostics, size_t slot_base);
 
   RestrictedInterface* interface_;
   /// Non-null iff `interface_` is the concurrent cache (then they alias).
@@ -222,7 +202,6 @@ class CrawlScheduler {
   void RefreshSpeculationGauges();
 
   // Scratch for coalesced rounds (stable across rounds to avoid churn).
-  std::vector<size_t> all_walkers_;  // 0..W-1: the walker-major active set
   std::vector<std::optional<NodeId>> proposals_;
   std::vector<NodeId> frontier_;
   // Dedupe marks for frontier_, indexed by node id; all false between

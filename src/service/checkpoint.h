@@ -37,13 +37,12 @@ enum class CrawlPhase : uint8_t { kBurnIn = 0, kSampling = 1, kDone = 2 };
 /// section, and version 5 dropped the routing cursor from the pool section
 /// (every routing policy is a pure function of the node), leaving the
 /// ledgers followed by the failed-fetch count. Version 6 drops the
-/// block-residency section again (block scheduling only orders walker
-/// steps and keeps no cache state), so the second-order section ends the
-/// file and any byte after it is an error. Any version other than kVersion
-/// is rejected, and the error names the refused version — there is no
-/// silent downgrade path. A fingerprint of the scenario
-/// (ScenarioConfig::Fingerprint) guards against resuming under a different
-/// configuration.
+/// block-residency section again (the cache keeps no residency state), so
+/// the second-order section ends the file and any byte after it is an
+/// error. Any version other than kVersion is rejected, and the error names
+/// the refused version — there is no silent downgrade path. A fingerprint
+/// of the scenario (ScenarioConfig::Fingerprint) guards against resuming
+/// under a different configuration.
 struct ServiceCheckpoint {
   static constexpr uint32_t kVersion = 6;
 

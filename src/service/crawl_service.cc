@@ -43,8 +43,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
                                                    : pool_->num_backends();
   crawl.pipeline_depth = config_.pipeline_depth;
   crawl.program_label = config_.program.name;
-  crawl.schedule = config_.schedule;
-  crawl.block_size = config_.block_size;
   scheduler_ = std::make_unique<CrawlScheduler>(
       *session_, crawl, config_.seed,
       [this](RestrictedInterface& iface, Rng& rng, size_t) {

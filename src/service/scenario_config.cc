@@ -1,6 +1,7 @@
 #include "src/service/scenario_config.h"
 
 #include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -59,13 +60,6 @@ FetchMode ParseFetchMode(const std::string& s) {
                               "\"");
 }
 
-ScheduleMode ParseScheduleMode(const std::string& s) {
-  if (s == "walker") return ScheduleMode::kWalker;
-  if (s == "block") return ScheduleMode::kBlock;
-  throw std::invalid_argument("ScenarioConfig: unknown schedule \"" + s +
-                              "\"");
-}
-
 BackendSelection ParseSelection(const std::string& s) {
   if (s == "sharded") return BackendSelection::kSharded;
   if (s == "rendezvous") return BackendSelection::kRendezvous;
@@ -86,6 +80,18 @@ OverlayDegreeMode ParseWeightMode(const std::string& s) {
   if (s == "exact") return OverlayDegreeMode::kExact;
   throw std::invalid_argument("ScenarioConfig: unknown mto.weight_mode \"" + s +
                               "\"");
+}
+
+// An "mto" knob stored as uint32_t: a larger value is an error, never a
+// silent wrap (the wrapped value would be what runs and what is
+// fingerprinted).
+uint32_t MtoUint32(const JsonValue& mto, const char* key) {
+  const uint64_t value = mto.At(key).AsUint();
+  if (value > std::numeric_limits<uint32_t>::max()) {
+    throw std::invalid_argument(std::string("ScenarioConfig: mto.") + key +
+                                " must be <= 4294967295");
+  }
+  return static_cast<uint32_t>(value);
 }
 
 BackendConfig ParseBackend(const JsonValue& obj, size_t index) {
@@ -126,8 +132,7 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
             {"dataset", "seed", "program", "mto", "attribute",
              "jump_probability", "walkers", "threads", "coalesce_frontier",
-             "fetch_mode", "fetch_threads", "pipeline_depth", "schedule",
-             "block", "queue_capacity",
+             "fetch_mode", "fetch_threads", "pipeline_depth", "queue_capacity",
              "geweke", "max_burn_in_rounds", "num_samples", "thinning",
              "total_budget", "backends", "routing", "retry",
              "fault_seed", "checkpoint", "observability"});
@@ -182,8 +187,7 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
           ParseCriterionBasis(mto.At("criterion_basis").AsString());
     }
     if (mto.Has("min_overlay_degree")) {
-      config.mto.min_overlay_degree =
-          static_cast<uint32_t>(mto.At("min_overlay_degree").AsUint());
+      config.mto.min_overlay_degree = MtoUint32(mto, "min_overlay_degree");
     }
     if (mto.Has("enable_replacement")) {
       config.mto.enable_replacement = mto.At("enable_replacement").AsBool();
@@ -201,12 +205,10 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
       config.mto.weight_mode = ParseWeightMode(mto.At("weight_mode").AsString());
     }
     if (mto.Has("degree_probe")) {
-      config.mto.degree_probe =
-          static_cast<uint32_t>(mto.At("degree_probe").AsUint());
+      config.mto.degree_probe = MtoUint32(mto, "degree_probe");
     }
     if (mto.Has("max_inner_iterations")) {
-      config.mto.max_inner_iterations =
-          static_cast<uint32_t>(mto.At("max_inner_iterations").AsUint());
+      config.mto.max_inner_iterations = MtoUint32(mto, "max_inner_iterations");
     }
   }
   if (root.Has("attribute")) {
@@ -234,17 +236,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   }
   if (root.Has("pipeline_depth")) {
     config.pipeline_depth = root.At("pipeline_depth").AsUint();
-  }
-  if (root.Has("schedule")) {
-    config.schedule = ParseScheduleMode(root.At("schedule").AsString());
-  }
-  if (root.Has("block")) {
-    const JsonValue& block = root.At("block");
-    CheckKeys(block, "block", {"size"});
-    config.block_configured = true;
-    if (block.Has("size")) {
-      config.block_size = static_cast<NodeId>(block.At("size").AsUint());
-    }
   }
   if (root.Has("queue_capacity")) {
     config.queue_capacity = root.At("queue_capacity").AsUint();
@@ -410,14 +401,6 @@ void ScenarioConfig::Validate() const {
     throw std::invalid_argument(
         "ScenarioConfig: mto.max_inner_iterations must be >= 1");
   }
-  if (block_configured && schedule != ScheduleMode::kBlock) {
-    throw std::invalid_argument(
-        "ScenarioConfig: the \"block\" object requires \"schedule\": "
-        "\"block\"");
-  }
-  if (block_size == 0) {
-    throw std::invalid_argument("ScenarioConfig: block.size must be >= 1");
-  }
   retry.Validate();
   for (const auto& backend : backends) backend.Validate();
   if (checkpoint.every_units > 0 && checkpoint.path.empty()) {
@@ -500,14 +483,10 @@ uint64_t ScenarioConfig::Fingerprint() const {
   // pipeline_depth, and queue_capacity are deliberately excluded: results
   // are bit-identical across them (the runtime contract), so a checkpoint
   // from a 1-thread sync run may resume on 8 threads with pipelined async
-  // fetches, and vice versa. The schedule mode and block.size are excluded
-  // for the same reason — block-major scheduling only reorders *when*
-  // walkers step, never their trajectories (block_scheduler_test pins
-  // bitwise identity), and it keeps no state of its own, so a walker-major
-  // checkpoint resumes under block scheduling and back. The observability
-  // block is excluded for the same reason — telemetry is strictly passive
-  // (no RNG draws, no queries, no session-state mutation), so a run may be
-  // resumed with observability toggled either way. The routing strategy is
+  // fetches, and vice versa. The observability block is excluded for the
+  // same reason — telemetry is strictly passive (no RNG draws, no queries,
+  // no session-state mutation), so a run may be resumed with observability
+  // toggled either way. The routing strategy is
   // excluded too — not because results match across policies (they
   // don't), but because resuming sharded under rendezvous or back is a
   // legitimate live rotation: the ledgers, cache, and walker states are

@@ -76,8 +76,6 @@ struct ObservabilityConfig {
 ///   "attribute": "degree",
 ///   "walkers": 16, "threads": 4, "coalesce_frontier": false,
 ///   "fetch_mode": "async", "fetch_threads": 0, "pipeline_depth": 0,
-///   "schedule": "block",
-///   "block": {"size": 4096},
 ///   "geweke": {"threshold": 0.1, "min_length": 200, "check_every": 50},
 ///   "max_burn_in_rounds": 2000,
 ///   "num_samples": 200, "thinning": 25,
@@ -141,18 +139,6 @@ struct ScenarioConfig {
   /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
   /// and the knob is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;
-  /// Scheduling organization (`"schedule"`: "walker" | "block"). Block mode
-  /// buckets live walkers by id-range block and drains one block at a time
-  /// over the shared cache (DESIGN.md §14). Pure execution order: results
-  /// are bit-identical to walker mode (block_scheduler_test pins this), so
-  /// like fetch_mode it is excluded from the checkpoint fingerprint and a
-  /// checkpoint may resume across engine modes.
-  ScheduleMode schedule = ScheduleMode::kWalker;
-  /// Nodes per block (`"block": {"size": ...}`; block mode only).
-  NodeId block_size = 4096;
-  /// True when the document carried a `"block"` object (tuning block keys
-  /// without selecting the block schedule is an error — see Validate).
-  bool block_configured = false;
   size_t queue_capacity = 4096;
 
   double geweke_threshold = 0.1;

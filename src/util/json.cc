@@ -231,6 +231,11 @@ class Parser {
       pos_ = start;
       Fail("malformed number");
     }
+    // strtod overflows to ±inf, which DumpJson could not write back as JSON.
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      Fail("number out of range");
+    }
     return JsonValue(value);
   }
 

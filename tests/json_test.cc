@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -70,6 +71,26 @@ TEST(JsonTest, AsUintRejectsFractionsNegativesAndOverflow) {
   EXPECT_THROW(ParseJson("1.5").AsUint(), std::runtime_error);
   EXPECT_THROW(ParseJson("-1").AsUint(), std::runtime_error);
   EXPECT_THROW(ParseJson("1e20").AsUint(), std::runtime_error);  // >= 2^64
+}
+
+TEST(JsonTest, OutOfRangeNumbersAreRejected) {
+  // strtod overflows these to ±inf, which DumpJson would write back as the
+  // non-JSON token "inf"; the parser refuses them at their byte offset.
+  for (const char* doc : {R"({"x": 1e999})", R"({"x": -1e999})"}) {
+    try {
+      ParseJson(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("at offset 6: number out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest finite double still parses and round-trips through DumpJson.
+  const JsonValue max = ParseJson(R"({"x": 1.7976931348623157e308})");
+  EXPECT_EQ(max.At("x").AsDouble(), std::numeric_limits<double>::max());
+  EXPECT_EQ(ParseJson(DumpJson(max)).At("x").AsDouble(),
+            std::numeric_limits<double>::max());
 }
 
 TEST(JsonTest, RejectsMalformedDocuments) {

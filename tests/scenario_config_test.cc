@@ -106,8 +106,12 @@ TEST(ScenarioConfigTest, RemovedSelectorKeysAreUnknown) {
   // "program" is the one program selector and "routing" the one routing
   // key; the retired aliases fail like any typo, with the unknown-key
   // error naming them.
+  // The block schedule is gone too: walker-major is the one order.
   for (const char* doc : {R"({"sampler": "srw"})", R"({"strategy": "sharded"})",
-                          R"({"sampler": "mto", "program": {"name": "mto"}})"}) {
+                          R"({"sampler": "mto", "program": {"name": "mto"}})",
+                          R"({"schedule": "walker"})",
+                          R"({"schedule": "block"})",
+                          R"({"block": {"size": 4096}})"}) {
     try {
       ScenarioConfig::FromJsonText(doc);
       ADD_FAILURE() << "accepted " << doc;
@@ -203,6 +207,37 @@ TEST(ScenarioConfigTest, SemanticValidation) {
         R"({"program": {"name": "mto"}, "checkpoint": {"path": "x.ckpt"}})");
     EXPECT_EQ(config.program.name, "mto");
     EXPECT_EQ(config.checkpoint.path, "x.ckpt");
+  }
+}
+
+TEST(ScenarioConfigTest, OutOfRangeNumbersAreRejected) {
+  // A double that overflows to inf is a parse error, not an infinite knob.
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"backends": [{"latency_us": 100, "latency_sigma": 1e999}]})"),
+               std::runtime_error);
+}
+
+TEST(ScenarioConfigTest, MtoUint32KnobsRejectValuesThatWouldWrap) {
+  // 2^32 + 1 would wrap to 1 in the uint32_t knob (and in the fingerprint).
+  for (const char* key :
+       {"min_overlay_degree", "degree_probe", "max_inner_iterations"}) {
+    const std::string doc =
+        std::string(R"({"program": {"name": "mto"}, "mto": {"weight_mode": )"
+                    R"("probe", ")") +
+        key + R"(": 4294967297}})";
+    try {
+      ScenarioConfig::FromJsonText(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("mto.") + key),
+                std::string::npos)
+          << e.what();
+    }
+    // The largest representable value is still accepted.
+    const std::string max_doc =
+        std::string(R"({"program": {"name": "mto"}, "mto": {")") + key +
+        R"(": 4294967295}})";
+    EXPECT_NO_THROW(ScenarioConfig::FromJsonText(max_doc)) << max_doc;
   }
 }
 
