@@ -42,10 +42,6 @@ QueryResult RestrictedInterface::MakeResult(NodeId v) const {
   return r;
 }
 
-QueryView RestrictedInterface::MakeView(NodeId v) const {
-  return {v, &network_->profile(v), network_->graph().Neighbors(v)};
-}
-
 void RestrictedInterface::SimulateRoundTrip() {
   ++backend_requests_;
   if (simulated_latency_.count() > 0) {

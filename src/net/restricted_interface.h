@@ -254,8 +254,11 @@ class RestrictedInterface {
   /// implementations. `v` must be a valid id.
   QueryResult MakeResult(NodeId v) const;
 
-  /// Borrowed-view variant of MakeResult (no allocation).
-  QueryView MakeView(NodeId v) const;
+  /// Borrowed-view variant of MakeResult (no allocation). Inline: it is
+  /// the whole of a cache hit's answer.
+  QueryView MakeView(NodeId v) const {
+    return {v, &network_->profile(v), network_->graph().Neighbors(v)};
+  }
 
   /// Fetches distinct cache-missing ids from the backend, marking each
   /// successfully fetched id cached (MarkFetched) as it lands. Ids left

@@ -1,7 +1,58 @@
 #include "src/obs/metrics.h"
 
+#include <bit>
+
 namespace mto {
 namespace obs {
+
+namespace {
+
+// Bit s is set iff a live thread leases Counter slot s. A plain atomic word:
+// no destructor, so it outlives every thread-exit release.
+std::atomic<uint64_t> leased_slots{0};
+static_assert(Counter::kShards < 64, "slot bits must fit the lease word");
+
+}  // namespace
+
+// Returns the thread's slot to the pool when the thread exits. The release
+// order publishes the thread's last shard stores to the slot's next owner,
+// whose leasing CAS acquires.
+struct Counter::SlotLease {
+  size_t slot;
+  ~SlotLease() {
+    tls_slot_ = kShards;  // adds from later thread-exit code overflow
+    leased_slots.fetch_and(~(uint64_t{1} << slot), std::memory_order_release);
+  }
+};
+
+size_t Counter::ThreadSlot() {
+  if (tls_slot_ != kUnleased) return tls_slot_;
+  constexpr uint64_t kAll = (uint64_t{1} << kShards) - 1;
+  uint64_t leased = leased_slots.load(std::memory_order_relaxed);
+  size_t slot = kShards;
+  while (leased != kAll) {
+    const auto lowest = static_cast<size_t>(std::countr_one(leased));
+    if (leased_slots.compare_exchange_weak(
+            leased, leased | (uint64_t{1} << lowest),
+            std::memory_order_acquire, std::memory_order_relaxed)) {
+      slot = lowest;
+      break;
+    }
+  }
+  tls_slot_ = slot;
+  if (slot < kShards) {
+    thread_local SlotLease lease{slot};
+  }
+  return slot;
+}
+
+void Counter::AddUnleased(uint64_t delta) {
+  if (ThreadSlot() < kShards) {
+    Add(delta);
+  } else {
+    shards_[kShards].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+}
 
 uint64_t Histogram::BucketUpperBound(size_t i) {
   if (i == 0) return 0;

@@ -16,33 +16,46 @@
 namespace mto {
 namespace obs {
 
-/// Small dense per-thread id for shard selection: the first time a thread
-/// asks, it draws the next id from a process-global counter. Ids are never
-/// reused, which is fine — they only ever get masked down to a shard index.
-/// Inline so every sharded increment pays a TLS load, not a call; the
-/// function-local statics are one object program-wide (inline linkage).
+/// Small dense per-thread id, unique for the life of the process: the
+/// first time a thread asks, it draws the next id from a process-global
+/// counter. Trace events carry it as their `tid`, and Histogram masks it
+/// down to a shard index. Inline so a call site pays a TLS load, not a
+/// call; the function-local statics are one object program-wide (inline
+/// linkage).
 inline size_t ObsThreadId() {
   static std::atomic<size_t> next{0};
   thread_local const size_t id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
-/// Monotonically increasing event counter, sharded across cache lines so
-/// concurrent increments from different threads never contend. `Add` is a
-/// single relaxed fetch_add on the caller's shard; `Value` sums the shards
-/// (racy reads see a value that some serialization of the increments
-/// produced — exact once writers quiesce).
+/// Monotonically increasing event counter with single-writer shards. A
+/// thread's first `Add` leases the lowest free of `kShards` process-wide
+/// slots and keeps it until the thread exits, so no two live threads ever
+/// write one shard and `Add` is a relaxed load plus a relaxed store — no
+/// locked instruction, no shared cache line. A thread that finds every slot
+/// leased adds to one extra overflow shard with `fetch_add`. `Value` sums
+/// all shards: racy reads see a value some serialization of the increments
+/// produced, and the sum is exact once the writers quiesce (a slot changes
+/// hands only through the lease word's release/acquire, so its next owner
+/// continues from the last value its previous owner stored).
 ///
 /// Observability instruments hot paths through *pointers* to these objects:
 /// a null pointer means "metrics off", so the disabled cost is one branch.
 /// See `ObsAdd` below.
 class Counter {
  public:
+  /// Leasable single-writer slots (the overflow shard is one more).
   static constexpr size_t kShards = 16;
 
   void Add(uint64_t delta = 1) {
-    shards_[ObsThreadId() & (kShards - 1)].value.fetch_add(
-        delta, std::memory_order_relaxed);
+    const size_t slot = tls_slot_;
+    if (slot < kShards) [[likely]] {
+      std::atomic<uint64_t>& value = shards_[slot].value;
+      value.store(value.load(std::memory_order_relaxed) + delta,
+                  std::memory_order_relaxed);
+      return;
+    }
+    AddUnleased(delta);
   }
 
   uint64_t Value() const {
@@ -63,11 +76,26 @@ class Counter {
     shards_[0].value.store(value, std::memory_order_relaxed);
   }
 
+  /// The calling thread's slot, leased on first use: a value in
+  /// `[0, kShards)` held by no other live thread, or `kShards` (the
+  /// overflow shard) when all were taken.
+  static size_t ThreadSlot();
+
  private:
+  static constexpr size_t kUnleased = kShards + 1;
+  struct SlotLease;
+
+  /// Cold half of `Add`: leases a slot on first use, else adds to the
+  /// overflow shard.
+  void AddUnleased(uint64_t delta);
+
+  /// Constant-initialized, so reading it needs no TLS init guard.
+  static constinit inline thread_local size_t tls_slot_ = kUnleased;
+
   struct alignas(64) Shard {
     std::atomic<uint64_t> value{0};
   };
-  std::array<Shard, kShards> shards_{};
+  std::array<Shard, kShards + 1> shards_{};
 };
 
 /// Point-in-time signed value (queue depths, lane occupancy, published

@@ -9,10 +9,11 @@
 namespace mto {
 
 ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
-    : RestrictedInterface(base.network()), base_(&base) {
-  const NodeId n = num_users();
-  cached_flags_ = std::make_unique<std::atomic<uint8_t>[]>(n);
-  for (NodeId v = 0; v < n; ++v) {
+    : RestrictedInterface(base.network()),
+      base_(&base),
+      num_flags_(num_users()) {
+  cached_flags_ = std::make_unique<std::atomic<uint8_t>[]>(num_flags_);
+  for (NodeId v = 0; v < num_flags_; ++v) {
     cached_flags_[v].store(base.IsCached(v) ? 1 : 0,
                            std::memory_order_relaxed);
   }
@@ -439,17 +440,13 @@ std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
   return r;
 }
 
-std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {
-  if (v >= num_users()) {
+std::optional<QueryView> ConcurrentInterfaceCache::QueryRefMiss(NodeId v) {
+  if (v >= num_flags_) {
     throw std::invalid_argument("QueryRef: unknown user id");
   }
-  // Hot path: a set flag plus the immutable network is enough to answer
-  // without locks or allocations; the count lands on this thread's shard.
-  if (HitCached(v)) {
-    total_requests_.Add();
-    return MakeView(v);
-  }
-  if (!Query(v)) return std::nullopt;  // full miss machinery (counts itself)
+  // Query re-checks the flag (another walker may have cached `v` since the
+  // inline test) and counts the request itself.
+  if (!Query(v)) return std::nullopt;
   return MakeView(v);
 }
 

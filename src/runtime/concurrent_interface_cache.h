@@ -137,8 +137,17 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   std::optional<QueryResult> Query(NodeId v) override;
   /// Allocation-free read path: cache hits return a borrowed view without
-  /// taking any lock; misses fall back to the full Query machinery.
-  std::optional<QueryView> QueryRef(NodeId v) override;
+  /// taking any lock; misses (and unknown ids, which throw
+  /// std::invalid_argument) fall back to the full Query machinery. Inline
+  /// so the hit — a bounds check, one acquire load, a single-writer
+  /// request-slot bump and the view — compiles into the caller.
+  std::optional<QueryView> QueryRef(NodeId v) override {
+    if (v < num_flags_ && HitCached(v)) [[likely]] {
+      total_requests_.Add();
+      return MakeView(v);
+    }
+    return QueryRefMiss(v);
+  }
   std::vector<std::optional<QueryResult>> BatchQuery(
       std::span<const NodeId> ids) override;
   std::optional<uint32_t> CachedDegree(NodeId v) const override;
@@ -194,6 +203,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   };
 
   Shard& shard(NodeId v) { return shards_[v % kShards]; }
+
+  /// Out-of-line rest of QueryRef: the unknown-id throw and the miss path.
+  std::optional<QueryView> QueryRefMiss(NodeId v);
 
   /// Claims the fetch of `v`, waiting out another walker's in-flight fetch.
   /// Returns false when `v` turned out cached (no fetch needed).
@@ -262,10 +274,14 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   };
 
   RestrictedInterface* base_;
+  // num_users(), fixed at construction: the hit path's bounds check reads
+  // it without a trip through the network.
+  NodeId num_flags_;
   std::unique_ptr<std::atomic<uint8_t>[]> cached_flags_;
-  // Every request, hit or miss, counted on the caller's thread shard so
-  // walkers hitting the cache from different cores never share a line
-  // (DESIGN.md §6). Session state, not a registry metric: always on.
+  // Every request, hit or miss, counted on the caller's leased
+  // single-writer slot so walkers hitting the cache from different cores
+  // never share a line or lock one (DESIGN.md §6). Session state, not a
+  // registry metric: always on.
   obs::Counter total_requests_;
   CacheMetrics metrics_;
   obs::MetricsRegistry* registry_ = nullptr;

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <latch>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -48,6 +51,10 @@ TEST(ConcurrentInterfaceCacheTest, OutOfRangeIdsAreNotCachedAndThrow) {
   EXPECT_FALSE(cache.IsCached(1000000));
   EXPECT_FALSE(cache.CachedDegree(1000000).has_value());
   EXPECT_THROW(cache.Query(6), std::invalid_argument);
+  // QueryRef's bounds check sits in its inline hit path.
+  EXPECT_THROW(cache.QueryRef(6), std::invalid_argument);
+  EXPECT_THROW(cache.QueryRef(UINT32_MAX), std::invalid_argument);
+  EXPECT_EQ(cache.TotalRequests(), 0u);
 }
 
 TEST(ConcurrentInterfaceCacheTest, ImportsWarmBaseCache) {
@@ -322,17 +329,23 @@ TEST(ConcurrentInterfaceCacheTest, InactivePipelineFetchCountsNothing) {
   EXPECT_FALSE(cache.IsCached(2));
 }
 
-/// Runs a mixed workload against `cache` on 8 threads and returns the
-/// number of requests issued: BatchQuery windows that overlap other
-/// threads' windows (so ids are often in flight elsewhere — the busy path)
-/// and repeat ids within the batch, single Query misses, and QueryRef hits
-/// on what the batch just cached.
-uint64_t MixedRequestsOn8Threads(ConcurrentInterfaceCache& cache) {
+/// Runs a mixed workload against `cache` on `num_threads` threads and
+/// returns the number of requests issued: BatchQuery windows that overlap
+/// other threads' windows (so ids are often in flight elsewhere — the busy
+/// path) and repeat ids within the batch, single Query misses, and QueryRef
+/// hits on what the batch just cached. Every thread leases its request
+/// slot before any issues a request, so beyond obs::Counter::kShards
+/// threads the overflow shard is sure to take requests.
+uint64_t MixedRequestsOnThreads(ConcurrentInterfaceCache& cache,
+                                size_t num_threads = 8) {
   const NodeId n = cache.num_users();
   std::atomic<uint64_t> issued{0};
+  std::latch all_leased(static_cast<std::ptrdiff_t>(num_threads));
   std::vector<std::thread> threads;
-  for (size_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&cache, &issued, n, t] {
+  for (size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&cache, &issued, &all_leased, n, t] {
+      obs::Counter::ThreadSlot();
+      all_leased.arrive_and_wait();
       for (size_t round = 0; round < 4; ++round) {
         std::vector<NodeId> ids;
         const NodeId first = static_cast<NodeId>((t * 5 + round * 11) % n);
@@ -359,29 +372,34 @@ TEST(ConcurrentInterfaceCacheTest, RequestCountIsExactUnderThreads) {
   base.SetSimulatedLatency(std::chrono::microseconds(100));
   base.SetMaxBatchSize(4);
   ConcurrentInterfaceCache cache(base);
-  const uint64_t issued = MixedRequestsOn8Threads(cache);
+  const uint64_t issued = MixedRequestsOnThreads(cache);
   EXPECT_EQ(cache.TotalRequests(), issued);
   EXPECT_EQ(cache.QueryCost(), net.num_users());  // every node paid once
 }
 
 TEST(ConcurrentInterfaceCacheTest, RestoreAndResetLandExactCountsAfterThreads) {
+  // 20 live threads outnumber the leasable request slots, so some requests
+  // land on the counter's overflow shard, which restore and reset must
+  // clear too.
+  constexpr size_t kThreads = 20;
+  static_assert(kThreads > obs::Counter::kShards);
   SocialNetwork net(Complete(48));
   RestrictedInterface base(net);
   ConcurrentInterfaceCache cache(base);
-  const uint64_t first = MixedRequestsOn8Threads(cache);
+  const uint64_t first = MixedRequestsOnThreads(cache, kThreads);
   const SessionSnapshot snapshot = cache.SnapshotSession();
   EXPECT_EQ(snapshot.total_requests, first);
-  MixedRequestsOn8Threads(cache);
+  MixedRequestsOnThreads(cache, kThreads);
   cache.RestoreSession(snapshot);
   EXPECT_EQ(cache.TotalRequests(), snapshot.total_requests);
   // The restored value is a base, not a stale shard mix: new requests from
   // any thread add exactly on top of it.
-  const uint64_t after_restore = MixedRequestsOn8Threads(cache);
+  const uint64_t after_restore = MixedRequestsOnThreads(cache, kThreads);
   EXPECT_EQ(cache.TotalRequests(), snapshot.total_requests + after_restore);
 
   cache.Reset();
   EXPECT_EQ(cache.TotalRequests(), 0u);
-  const uint64_t after_reset = MixedRequestsOn8Threads(cache);
+  const uint64_t after_reset = MixedRequestsOnThreads(cache, kThreads);
   EXPECT_EQ(cache.TotalRequests(), after_reset);
 }
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -149,6 +152,71 @@ TEST(CounterTest, ConcurrentIncrementsMergeExactly) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter.Value(), kThreads * kPerThread);
   EXPECT_EQ(histogram.Snap().count, kThreads * (kPerThread / 1000));
+}
+
+TEST(CounterTest, ExactBeyondShardCount) {
+  // More live threads than leasable slots: the first kShards writers lease
+  // single-writer slots, the rest share the fetch_add overflow shard. Every
+  // thread makes its first add (which leases) before a latch that holds it
+  // alive until all have, so the overflow shard is exercised no matter how
+  // the threads are scheduled.
+  obs::Counter counter;
+  constexpr size_t kThreads = 40;
+  constexpr uint64_t kPerThread = 50'000;
+  static_assert(kThreads > obs::Counter::kShards);
+  std::latch all_leased(kThreads);
+  std::atomic<size_t> overflowed{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      counter.Add();
+      all_leased.arrive_and_wait();
+      for (uint64_t i = 1; i < kPerThread; ++i) counter.Add();
+      if (obs::Counter::ThreadSlot() == obs::Counter::kShards) {
+        overflowed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(counter.Value(), kThreads * kPerThread);
+  EXPECT_GE(overflowed.load(), kThreads - obs::Counter::kShards);
+}
+
+TEST(CounterTest, SlotsReusedAcrossThreadChurn) {
+  // Threads created one after another: each exit releases its slot, so
+  // every thread leases one (none falls to the overflow shard) and no add
+  // is lost to a stale owner.
+  obs::Counter counter;
+  constexpr uint64_t kThreads = 200;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    size_t slot = obs::Counter::kShards;
+    std::thread([&] {
+      counter.Add();
+      slot = obs::Counter::ThreadSlot();
+    }).join();
+    EXPECT_LT(slot, obs::Counter::kShards) << "thread " << t;
+  }
+  EXPECT_EQ(counter.Value(), kThreads);
+}
+
+TEST(CounterTest, LiveThreadsHoldDistinctSlots) {
+  // kShards threads alive at once (this one included) hold every slot,
+  // one each: no shard has two writers.
+  constexpr size_t kShards = obs::Counter::kShards;
+  std::vector<size_t> slots(kShards, kShards);
+  slots[0] = obs::Counter::ThreadSlot();
+  std::latch all_leased(kShards);
+  std::vector<std::thread> threads;
+  for (size_t t = 1; t < kShards; ++t) {
+    threads.emplace_back([&slots, &all_leased, t] {
+      slots[t] = obs::Counter::ThreadSlot();
+      all_leased.arrive_and_wait();  // hold the lease until all have one
+    });
+  }
+  all_leased.arrive_and_wait();
+  for (auto& thread : threads) thread.join();
+  std::sort(slots.begin(), slots.end());
+  for (size_t i = 0; i < kShards; ++i) EXPECT_EQ(slots[i], i);
 }
 
 TEST(RegistryTest, GetIsIdempotentAndLabelsSeparate) {
