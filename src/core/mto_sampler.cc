@@ -23,7 +23,9 @@ MtoSampler::MtoSampler(RestrictedInterface& interface, Rng& rng, NodeId start,
 
 bool MtoSampler::Fetch(NodeId v) {
   if (overlay_.IsRegistered(v)) return true;
-  auto r = interface().Query(v);
+  // The view borrows the network's immutable CSR row, which outlives the
+  // overlay (OverlayGraph's lifetime rule).
+  auto r = interface().QueryRef(v);
   if (!r) return false;
   overlay_.RegisterNode(v, r->neighbors);
   return true;
@@ -52,8 +54,10 @@ bool MtoSampler::RemovableNow(NodeId u, NodeId v) const {
   // registered nodes come from the chosen basis; unregistered-but-cached
   // nodes contribute their true degree, exactly the "historical
   // information" of Section III-D.
-  const auto& a = original ? overlay_.OriginalNeighbors(u) : overlay_.Neighbors(u);
-  const auto& b = original ? overlay_.OriginalNeighbors(v) : overlay_.Neighbors(v);
+  const NeighborView a =
+      original ? overlay_.OriginalNeighbors(u) : overlay_.Neighbors(u);
+  const NeighborView b =
+      original ? overlay_.OriginalNeighbors(v) : overlay_.Neighbors(v);
   std::vector<uint32_t> small_degrees;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -210,7 +214,8 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
     // already in the local cache (their queries are free), then report the
     // overlay degree. Unclassified edges to unseen nodes count as surviving.
     if (config_.enable_removal) {
-      const std::vector<NodeId> snapshot = overlay_.Neighbors(u);  // copy
+      const NeighborView view = overlay_.Neighbors(u);
+      const std::vector<NodeId> snapshot(view.begin(), view.end());  // copy
       for (NodeId w : snapshot) {
         if (overlay_.IsProcessed(u, w)) continue;
         if (!overlay_.IsRegistered(w) && !interface().IsCached(w)) continue;
@@ -224,7 +229,8 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
     }
     return static_cast<double>(overlay_.Degree(u));
   }
-  const std::vector<NodeId> snapshot = overlay_.Neighbors(u);  // copy
+  const NeighborView view = overlay_.Neighbors(u);
+  const std::vector<NodeId> snapshot(view.begin(), view.end());  // copy
 
   auto classify = [&](NodeId w) -> bool {
     // Returns true iff the edge (u, w) survives classification. Removals are

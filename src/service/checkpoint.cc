@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace mto {
 namespace {
@@ -11,12 +12,14 @@ namespace {
 constexpr char kMagic[8] = {'M', 'T', 'O', 'C', 'K', 'P', 'T', '\0'};
 
 // Fixed-width little-endian scalar I/O. The encode/decode loops are
-// byte-order independent, so checkpoints are portable across hosts.
+// byte-order independent, so checkpoints are portable across hosts. The
+// writer serializes into memory; Save writes the image in one call.
 class Writer {
  public:
-  explicit Writer(std::ostream& out) : out_(&out) {}
+  explicit Writer(std::string& out) : out_(&out) {}
 
-  void U8(uint8_t v) { out_->put(static_cast<char>(v)); }
+  void Bytes(const char* data, size_t size) { out_->append(data, size); }
+  void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
   void U32(uint32_t v) {
     for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
   }
@@ -31,7 +34,7 @@ class Writer {
   }
 
  private:
-  std::ostream* out_;
+  std::string* out_;
 };
 
 class Reader {
@@ -107,12 +110,10 @@ class SectionChecksum {
 }  // namespace
 
 void ServiceCheckpoint::Save(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
+  std::string image;
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("checkpoint: cannot write " + tmp);
-    Writer w(out);
-    out.write(kMagic, sizeof(kMagic));
+    Writer w(image);
+    w.Bytes(kMagic, sizeof(kMagic));
     w.U32(kVersion);
     w.U64(config_fingerprint);
 
@@ -200,7 +201,12 @@ void ServiceCheckpoint::Save(const std::string& path) const {
       w.U32(record.prev);
     }
     w.U64(so_checksum.hash());
-
+  }
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("checkpoint: cannot write " + tmp);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
     // Flush + close before the rename so buffered-write errors surface
     // while the previous checkpoint is still intact on disk.
     out.flush();

@@ -383,6 +383,9 @@ std::optional<uint16_t> CrawlService::http_port() const {
 }
 
 void CrawlService::SaveCheckpoint(const std::string& path) {
+  // checkpoint.save_us times the whole save: the snapshots (session,
+  // walkers, overlay deltas) as well as the serialization and write.
+  const auto start = std::chrono::steady_clock::now();
   ServiceCheckpoint ckpt;
   ckpt.config_fingerprint = config_.Fingerprint();
   ckpt.session = session_->SnapshotSession();
@@ -421,7 +424,6 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
            walker.previous.value_or(0)});
     }
   }
-  const auto start = std::chrono::steady_clock::now();
   {
     obs::TraceSpan span(trace_log_.get(), "checkpoint.save");
     ckpt.Save(path);
