@@ -200,7 +200,7 @@ NodeId MtoSampler::CommitStep(NodeId target) {
 }
 
 double MtoSampler::CurrentDegreeForDiagnostic() {
-  auto r = interface().Query(current());
+  auto r = interface().QueryRef(current());
   return r ? static_cast<double>(r->degree()) : 0.0;
 }
 

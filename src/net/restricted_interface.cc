@@ -83,7 +83,7 @@ std::optional<QueryView> RestrictedInterface::QueryRef(NodeId v) {
   return MakeView(v);
 }
 
-std::vector<std::optional<QueryResult>> RestrictedInterface::BatchQuery(
+std::vector<uint8_t> RestrictedInterface::FetchBatch(
     std::span<const NodeId> ids) {
   for (NodeId v : ids) {
     if (v >= network_->num_users()) {
@@ -101,9 +101,17 @@ std::vector<std::optional<QueryResult>> RestrictedInterface::BatchQuery(
     }
   }
   if (!misses.empty()) FetchMisses(misses);
+  std::vector<uint8_t> cached(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) cached[i] = cached_[ids[i]];
+  return cached;
+}
+
+std::vector<std::optional<QueryResult>> RestrictedInterface::BatchQuery(
+    std::span<const NodeId> ids) {
+  const std::vector<uint8_t> cached = FetchBatch(ids);
   std::vector<std::optional<QueryResult>> results(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    if (cached_[ids[i]]) results[i] = MakeResult(ids[i]);
+    if (cached[i] != 0) results[i] = MakeResult(ids[i]);
   }
   return results;
 }

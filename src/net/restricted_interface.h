@@ -149,6 +149,13 @@ class RestrictedInterface {
   virtual std::vector<std::optional<QueryResult>> BatchQuery(
       std::span<const NodeId> ids);
 
+  /// `BatchQuery` without the responses: the same validation, request and
+  /// cost accounting and backend trips, but it returns, per id, 1 iff the
+  /// id is cached afterwards (0 = refused). BatchQuery wraps it. Not
+  /// virtual: it always acts on this session's own cache, so a concurrent
+  /// wrapper calls it on the session it wraps, under its ledger lock.
+  std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids);
+
   /// Degree of a previously queried user, without issuing a query.
   /// Returns std::nullopt when `v` has never been queried (its degree is
   /// unknown to a third party) — this powers Theorem 5's N* set — or when

@@ -14,11 +14,11 @@ ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
       num_flags_(num_users()) {
   cached_flags_ = std::make_unique<std::atomic<uint8_t>[]>(num_flags_);
   for (NodeId v = 0; v < num_flags_; ++v) {
-    cached_flags_[v].store(base.IsCached(v) ? 1 : 0,
+    cached_flags_[v].store(base.IsCached(v) ? kCached : kUncached,
                            std::memory_order_relaxed);
   }
   // Take over latency simulation: the wrapped session is only the ledger
-  // from here on; round trips are slept outside its mutex (see Query).
+  // from here on; round trips are slept outside its lock (see Admit).
   SetSimulatedLatency(base.simulated_latency());
   base.SetSimulatedLatency(std::chrono::microseconds(0));
 }
@@ -89,7 +89,7 @@ std::optional<std::vector<uint8_t>> ConcurrentInterfaceCache::LaneFetch(
   const auto rtt = simulated_latency();
   uint64_t wire_trips = 0;
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
+    std::lock_guard lock(base_mutex_);
     // The plan runs at normal time, in miss order — the exact state
     // mutations (routing counters, cache marks, cost) the sync path would
     // make. Only the ledger/latency tail is deferred to the lanes.
@@ -116,7 +116,7 @@ std::optional<std::vector<uint8_t>> ConcurrentInterfaceCache::LaneFetch(
         CancelTicket(*ticket);
       }
     }
-    // Posting under the ledger mutex keeps every lane's tasks in plan
+    // Posting under the ledger lock keeps every lane's tasks in plan
     // order, the order the sync path applies the same ledger ops in.
     for (size_t t = 0; t < deferred->apply_tasks.size(); ++t) {
       const uint32_t b = deferred->task_backend[t];
@@ -157,7 +157,7 @@ std::optional<std::vector<uint8_t>> ConcurrentInterfaceCache::LaneFetch(
 void ConcurrentInterfaceCache::DrainPipeline() {
   if (channels_ == nullptr) return;
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
+    std::lock_guard lock(base_mutex_);
     ObsAdd(metrics_.prefetch_stale, tickets_.size());
     for (auto& entry : tickets_) CancelTicket(*entry.second);
     tickets_.clear();
@@ -191,7 +191,7 @@ void ConcurrentInterfaceCache::PipelinedFetch(
     const std::vector<uint8_t> ok = SyncFetch(frontier);
     for (size_t i = 0; i < frontier.size(); ++i) {
       if (ok[i] != 0) {
-        cached_flags_[frontier[i]].store(1, std::memory_order_release);
+        cached_flags_[frontier[i]].store(kCached, std::memory_order_release);
       }
     }
     return;
@@ -202,7 +202,7 @@ void ConcurrentInterfaceCache::PipelinedFetch(
   // nodes while their round trips are still in flight on the lanes.
   for (size_t i = 0; i < frontier.size(); ++i) {
     if ((*fetched)[i] != 0) {
-      cached_flags_[frontier[i]].store(1, std::memory_order_release);
+      cached_flags_[frontier[i]].store(kCached, std::memory_order_release);
     }
   }
   // The lag-k join: at most pipeline_depth_ rounds of posted work may stay
@@ -224,7 +224,7 @@ void ConcurrentInterfaceCache::PostPrefetchHints(
   };
   std::vector<Route> routes;
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
+    std::lock_guard lock(base_mutex_);
     // Deterministic stale-invalidation point: whatever the previous window
     // predicted and this round did not consume is stale now — cancel it.
     // The stale set is exactly (predicted \ consumed), a pure function of
@@ -284,20 +284,18 @@ void ConcurrentInterfaceCache::PostPrefetchHints(
 std::vector<uint8_t> ConcurrentInterfaceCache::SyncFetch(
     std::span<const NodeId> misses) {
   uint64_t trips = 0;
-  std::vector<std::optional<QueryResult>> backend;
+  std::vector<uint8_t> fetched;
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
+    std::lock_guard lock(base_mutex_);
     const uint64_t before = base_->BackendRequests();
-    backend = base_->BatchQuery(misses);
+    fetched = base_->FetchBatch(misses);
     trips = base_->BackendRequests() - before;
   }
   if (simulated_latency().count() > 0) {
     std::this_thread::sleep_for(simulated_latency() *
                                 static_cast<int64_t>(trips));
   }
-  std::vector<uint8_t> ok(misses.size());
-  for (size_t i = 0; i < misses.size(); ++i) ok[i] = backend[i].has_value();
-  return ok;
+  return fetched;
 }
 
 bool ConcurrentInterfaceCache::IsCached(NodeId v) const {
@@ -311,34 +309,34 @@ std::optional<uint32_t> ConcurrentInterfaceCache::CachedDegree(
 }
 
 uint64_t ConcurrentInterfaceCache::QueryCost() const {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard lock(base_mutex_);
   return base_->QueryCost();
 }
 
 uint64_t ConcurrentInterfaceCache::BackendRequests() const {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard lock(base_mutex_);
   return base_->BackendRequests();
 }
 
 void ConcurrentInterfaceCache::SetBudget(std::optional<uint64_t> budget) {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard lock(base_mutex_);
   base_->SetBudget(budget);
 }
 
 void ConcurrentInterfaceCache::SetMaxBatchSize(size_t max_batch_size) {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard lock(base_mutex_);
   base_->SetMaxBatchSize(max_batch_size);
 }
 
 size_t ConcurrentInterfaceCache::max_batch_size() const {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard lock(base_mutex_);
   return base_->max_batch_size();
 }
 
 SessionSnapshot ConcurrentInterfaceCache::SnapshotSession() const {
   SessionSnapshot snapshot;
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
+    std::lock_guard lock(base_mutex_);
     snapshot = base_->SnapshotSession();
   }
   snapshot.total_requests = TotalRequests();
@@ -349,12 +347,12 @@ void ConcurrentInterfaceCache::RestoreSession(
     const SessionSnapshot& snapshot) {
   DrainPipeline();  // ledgers must be quiescent before rewriting state
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
+    std::lock_guard lock(base_mutex_);
     base_->RestoreSession(snapshot);
   }
   const NodeId n = num_users();
   for (NodeId v = 0; v < n; ++v) {
-    cached_flags_[v].store(base_->IsCached(v) ? 1 : 0,
+    cached_flags_[v].store(base_->IsCached(v) ? kCached : kUncached,
                            std::memory_order_relaxed);
   }
   total_requests_.Set(snapshot.total_requests);
@@ -365,51 +363,50 @@ void ConcurrentInterfaceCache::Reset() {
   base_->Reset();
   const NodeId n = num_users();
   for (NodeId v = 0; v < n; ++v) {
-    cached_flags_[v].store(0, std::memory_order_relaxed);
+    cached_flags_[v].store(kUncached, std::memory_order_relaxed);
   }
   total_requests_.Set(0);
 }
 
 bool ConcurrentInterfaceCache::ClaimFetch(NodeId v) {
-  Shard& s = shard(v);
-  std::unique_lock<std::mutex> lock(s.mutex);
+  std::atomic<uint8_t>& flag = cached_flags_[v];
+  uint8_t state = flag.load(std::memory_order_acquire);
   bool counted_wait = false;
   while (true) {
-    if (HitCached(v)) return false;
-    if (s.in_flight.insert(v).second) return true;  // we own the fetch
+    if (state == kCached) return false;
+    if (state == kUncached) {
+      if (flag.compare_exchange_weak(state, kInFlight,
+                                     std::memory_order_acquire)) {
+        return true;  // we own the fetch
+      }
+      continue;  // lost a race; `state` holds what won
+    }
     if (!counted_wait) {
-      // One dedupe wait per episode, not per spurious wakeup.
+      // One dedupe wait per episode, not per wake-up.
       ObsAdd(metrics_.dedupe_waits);
       counted_wait = true;
     }
-    s.cv.wait(lock);  // another walker is fetching v; share its response
+    // Another walker is fetching v; share its response. Registering before
+    // the re-check pairs with ResolveFetch's store-then-read (all seq_cst):
+    // either the re-check sees the outcome, or the owner sees a waiter and
+    // wakes the flag.
+    claim_waiters_.fetch_add(1);
+    if (flag.load() == kInFlight) {
+      flag.wait(kInFlight, std::memory_order_acquire);
+    }
+    claim_waiters_.fetch_sub(1, std::memory_order_release);
+    state = flag.load(std::memory_order_acquire);
   }
 }
 
 void ConcurrentInterfaceCache::ResolveFetch(NodeId v, bool fetched) {
-  Shard& s = shard(v);
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.in_flight.erase(v);
-    if (fetched) cached_flags_[v].store(1, std::memory_order_release);
-  }
-  s.cv.notify_all();
+  std::atomic<uint8_t>& flag = cached_flags_[v];
+  flag.store(fetched ? kCached : kUncached);  // seq_cst: see ClaimFetch
+  if (claim_waiters_.load() != 0) flag.notify_all();
 }
 
-std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
-  if (v >= num_users()) {
-    throw std::invalid_argument("Query: unknown user id");
-  }
-  total_requests_.Add();
-  // Lock-free hit path: the network is immutable, so a set flag is enough
-  // to materialize the response locally. Hits are deliberately not
-  // counted here — PublishMetrics derives them from total_requests_.
-  if (HitCached(v)) {
-    return MakeResult(v);
-  }
-  if (!ClaimFetch(v)) {
-    return MakeResult(v);  // cached while we waited (a hit, derived)
-  }
+bool ConcurrentInterfaceCache::Admit(NodeId v) {
+  if (!ClaimFetch(v)) return true;  // cached while we waited (a hit, derived)
   ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
   if (fetch_mode_ == FetchMode::kAsync || PipelineActive()) {
     // Through the lanes. A single miss pays its wire time on this thread,
@@ -422,67 +419,81 @@ std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
                                  /*join=*/!PipelineActive())) {
       const bool ok = (*fetched)[0] != 0;
       ResolveFetch(v, ok);
-      if (!ok) return std::nullopt;
-      return MakeResult(v);
+      return ok;
     }
   }
-  std::optional<QueryResult> r;
+  bool ok;
   {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    r = base_->Query(v);  // ledger: cost, budget, backend-trip count
+    // Ledger work only (cost, budget, backend-trip count): QueryRef has
+    // Query's accounting and builds no response.
+    std::lock_guard lock(base_mutex_);
+    ok = base_->QueryRef(v).has_value();
   }
-  // Pay the round trip outside every lock; walkers racing to `v` wait in
-  // ClaimFetch until ResolveFetch, i.e. until the response "arrived".
-  if (r && simulated_latency().count() > 0) {
+  // Pay the round trip outside every lock; walkers racing to `v` wait on
+  // its flag until ResolveFetch, i.e. until the response "arrived".
+  if (ok && simulated_latency().count() > 0) {
     std::this_thread::sleep_for(simulated_latency());
   }
-  ResolveFetch(v, r.has_value());
-  return r;
+  ResolveFetch(v, ok);
+  return ok;
+}
+
+std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
+  if (v >= num_flags_) {
+    throw std::invalid_argument("Query: unknown user id");
+  }
+  total_requests_.Add();
+  // Lock-free hit path: the network is immutable, so a cached flag is
+  // enough to materialize the response locally. Hits are deliberately not
+  // counted here — PublishMetrics derives them from total_requests_.
+  if (!HitCached(v) && !Admit(v)) return std::nullopt;
+  return MakeResult(v);
 }
 
 std::optional<QueryView> ConcurrentInterfaceCache::QueryRefMiss(NodeId v) {
   if (v >= num_flags_) {
     throw std::invalid_argument("QueryRef: unknown user id");
   }
-  // Query re-checks the flag (another walker may have cached `v` since the
-  // inline test) and counts the request itself.
-  if (!Query(v)) return std::nullopt;
+  total_requests_.Add();
+  // Admit re-checks the flag: another walker may have cached `v` since the
+  // inline test.
+  if (!Admit(v)) return std::nullopt;
   return MakeView(v);
 }
 
 std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
     std::span<const NodeId> ids) {
   for (NodeId v : ids) {
-    if (v >= num_users()) {
+    if (v >= num_flags_) {
       throw std::invalid_argument("BatchQuery: unknown user id");
     }
   }
+  total_requests_.Add(ids.size());
 
   // Claim every distinct uncached id we can without blocking. Ids already
-  // being fetched by another walker are picked up afterwards, once our own
+  // being fetched by another walker are admitted afterwards, once our own
   // claims are resolved — never while holding claims, so two overlapping
-  // BatchQuery calls cannot deadlock waiting on each other.
+  // BatchQuery calls cannot deadlock waiting on each other. `owned` maps
+  // each claimed or busy id to whether it ended up fetched; a repeat of it
+  // within this batch is answered from there.
   std::vector<NodeId> claimed;
   std::vector<NodeId> busy;
-  std::unordered_map<NodeId, std::optional<QueryResult>> fetched;
+  std::unordered_map<NodeId, bool> owned;
   for (NodeId v : ids) {
-    if (fetched.count(v) != 0) continue;  // duplicate within this batch
-    if (HitCached(v)) continue;
-    Shard& s = shard(v);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (HitCached(v)) continue;
-    if (s.in_flight.insert(v).second) {
+    if (HitCached(v) || owned.count(v) != 0) continue;
+    uint8_t state = kUncached;
+    if (cached_flags_[v].compare_exchange_strong(state, kInFlight,
+                                                 std::memory_order_acquire)) {
       claimed.push_back(v);
-      fetched.emplace(v, std::nullopt);
-    } else {
+    } else if (state == kInFlight) {
       busy.push_back(v);
+    } else {
+      continue;  // cached since the first look
     }
+    owned.emplace(v, false);
   }
-  // Busy ids re-enter through Query below and count themselves there (a
-  // sharded counter cannot take them back); of the rest, claims are misses
-  // and everything else (duplicates within the batch, already-cached ids)
-  // was answered from cache (hits, derived at PublishMetrics time).
-  total_requests_.Add(ids.size() - busy.size());
+  // Claims are misses, busy ids count theirs in Admit, and every other
+  // request was answered from cache (hits, derived at PublishMetrics time).
   ObsAdd(metrics_.misses, claimed.size());
   ObsRecord(metrics_.miss_batch, claimed.size());
 
@@ -498,22 +509,18 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
     if (!ok) ok = SyncFetch(claimed);
     for (size_t i = 0; i < claimed.size(); ++i) {
       ResolveFetch(claimed[i], (*ok)[i] != 0);
-      if ((*ok)[i] != 0) fetched[claimed[i]] = MakeResult(claimed[i]);
+      owned[claimed[i]] = (*ok)[i] != 0;
     }
   }
-  for (NodeId v : busy) {
-    // Waits out the other walker's fetch (or re-fetches on budget refusal).
-    fetched[v] = Query(v);
-  }
+  // Waits out the other walker's fetch (or re-fetches on its refusal).
+  for (NodeId v : busy) owned[v] = Admit(v);
 
+  // Each response is materialized once, straight into its slot. Ids not in
+  // `owned` were cached when the claim loop saw them.
   std::vector<std::optional<QueryResult>> results(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto it = fetched.find(ids[i]);
-    if (it != fetched.end()) {
-      results[i] = it->second;
-    } else if (HitCached(ids[i])) {
-      results[i] = MakeResult(ids[i]);
-    }
+    auto it = owned.find(ids[i]);
+    if (it == owned.end() || it->second) results[i] = MakeResult(ids[i]);
   }
   return results;
 }

@@ -10,13 +10,13 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/restricted_interface.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/serial_channels.h"
+#include "src/util/spin_lock.h"
 
 namespace mto {
 
@@ -24,24 +24,28 @@ namespace mto {
 /// so any number of walkers can share one cache and one query budget.
 ///
 /// Design (see DESIGN.md §6):
-///  * **Lock-free hit path.** A per-node atomic "cached" flag mirrors the
-///    wrapped session's cache. Since the underlying network is immutable,
-///    a set flag lets the result be materialized without any lock — the
-///    common case once walkers have warmed a region ("a region one walker
-///    has paid for is free for the others", paper Section VI).
-///  * **In-flight dedupe.** Misses register in a sharded in-flight table
-///    before fetching; a second walker racing to the same node waits on the
-///    shard's condition variable instead of issuing a duplicate backend
-///    query. Two walkers hitting the same uncached node consume exactly one
-///    unit of query cost.
+///  * **Lock-free hit path.** A per-node atomic flag mirrors the wrapped
+///    session's cache. Since the underlying network is immutable, a cached
+///    flag lets the result be materialized without any lock — the common
+///    case once walkers have warmed a region ("a region one walker has paid
+///    for is free for the others", paper Section VI).
+///  * **Claims on the flag.** The flag has three states: uncached, in
+///    flight, cached. A miss claims its node with one CAS from uncached to
+///    in flight; a second walker racing to the same node waits on the flag
+///    (std::atomic::wait) instead of issuing a duplicate backend query, so
+///    two walkers hitting the same uncached node consume exactly one unit
+///    of query cost. The owner stores cached, or uncached when the fetch
+///    was refused (the next waiter then claims it in turn), and wakes the
+///    waiters. No table, no lock and no allocation.
 ///  * **Serialized ledger.** The wrapped RestrictedInterface remains the
 ///    source of truth for cost, budget, and latency bookkeeping; it is only
-///    touched under one mutex, and simulated latency is paid *outside* that
-///    mutex so concurrent misses to different nodes overlap their round
-///    trips — the effect the throughput bench measures.
+///    touched under one spin-then-park lock (util/SpinParkLock), and only
+///    for the ledger work: responses are materialized and simulated latency
+///    is paid *outside* it, so concurrent misses to different nodes overlap
+///    their round trips — the effect the throughput bench measures.
 ///  * **Async fetch overlap (`SetFetchMode(kAsync)`).** When the wrapped
 ///    session supports two-phase fetches (a service/BackendPool), a miss
-///    group is only *planned* under the ledger mutex — routing, budget,
+///    group is only *planned* under the ledger lock — routing, budget,
 ///    outcomes, cost — and each backend's ledger/latency task is posted, in
 ///    plan order, to that backend's FIFO lane (util/SerialChannels, lane
 ///    `b % lanes`), which then sleeps the backend's round trips. The caller
@@ -76,9 +80,6 @@ namespace mto {
 /// while no walker is running.
 class ConcurrentInterfaceCache final : public RestrictedInterface {
  public:
-  /// Number of independent lock shards for the miss path.
-  static constexpr size_t kShards = 16;
-
   /// Wraps `base`, which must outlive this object. Cache state already in
   /// `base` is honored (its flags are imported).
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
@@ -94,7 +95,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   FetchMode fetch_mode() const { return fetch_mode_; }
 
   /// Upper bound on lanes (backend channels worth of overlap; more would
-  /// only contend on the ledger shards).
+  /// only contend on the ledger locks).
   static constexpr size_t kMaxFetchThreads = 16;
 
   /// Enables (depth >= 1) or disables (depth == 0) the pipelined engine:
@@ -112,7 +113,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   }
 
   /// Pipelined replacement for the coordinator's frontier BatchQuery
-  /// (CrawlScheduler only): plans the whole frontier under the ledger mutex
+  /// (CrawlScheduler only): plans the whole frontier under the ledger lock
   /// — consuming matching prefetch tickets — marks planned-fetched nodes
   /// cached, posts each backend's ledger/latency task to its lane, and
   /// returns without joining. Requires PipelineActive(); must be called
@@ -150,6 +151,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   }
   std::vector<std::optional<QueryResult>> BatchQuery(
       std::span<const NodeId> ids) override;
+  /// Hidden: the inherited FetchBatch would act on this wrapper's own,
+  /// unused, base-class cache. BatchQuery is the thread-safe bulk call.
+  std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids) = delete;
   std::optional<uint32_t> CachedDegree(NodeId v) const override;
   bool IsCached(NodeId v) const override;
 
@@ -196,22 +200,30 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   void PublishMetrics();
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::unordered_set<NodeId> in_flight;
-  };
-
-  Shard& shard(NodeId v) { return shards_[v % kShards]; }
+  /// cached_flags_ states. Only a claim's CAS enters kInFlight and only
+  /// its owner's ResolveFetch leaves it; kCached is final until
+  /// Reset/RestoreSession.
+  static constexpr uint8_t kUncached = 0;
+  static constexpr uint8_t kCached = 1;
+  static constexpr uint8_t kInFlight = 2;
 
   /// Out-of-line rest of QueryRef: the unknown-id throw and the miss path.
   std::optional<QueryView> QueryRefMiss(NodeId v);
 
-  /// Claims the fetch of `v`, waiting out another walker's in-flight fetch.
-  /// Returns false when `v` turned out cached (no fetch needed).
+  /// The one fetch core of Query, QueryRef's miss path and BatchQuery's
+  /// busy ids: claims `v` (waiting out another walker's fetch of it),
+  /// fetches it through the wrapped session's QueryRef under the ledger
+  /// lock, pays the round trip outside it and resolves the claim. Returns
+  /// true iff `v` is cached afterwards. The caller counts the request and
+  /// materializes the response.
+  bool Admit(NodeId v);
+
+  /// Claims the fetch of `v`, waiting on its flag while another walker's
+  /// fetch is in flight. Returns false when `v` turned out cached (no
+  /// fetch needed).
   bool ClaimFetch(NodeId v);
 
-  /// Publishes the outcome of a claimed fetch and wakes waiters.
+  /// Stores a claimed fetch's outcome in the flag and wakes its waiters.
   void ResolveFetch(NodeId v, bool fetched);
 
   /// (Re)builds the lane set for the current mode: lanes exist iff the
@@ -233,7 +245,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   /// The one lane fetch behind the async and pipelined engines: plans
   /// `misses` (valid, distinct, uncached, claimed or coordinator-owned)
-  /// under the ledger mutex, consumes matching prefetch tickets, and posts
+  /// under the ledger lock, consumes matching prefetch tickets, and posts
   /// each backend's apply task to its lane in plan order. `inline_wire`:
   /// the caller pays the wire time on its own thread (concurrent walkers'
   /// misses overlap, and a pipelined demand miss never queues behind the
@@ -246,16 +258,15 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   std::optional<std::vector<uint8_t>> LaneFetch(std::span<const NodeId> misses,
                                                 bool inline_wire, bool join);
 
-  /// The sync miss path: fetches `misses` through the wrapped session under
-  /// the ledger mutex, then pays their round trips outside it. Returns the
-  /// per-miss fetched flags.
+  /// The sync miss path: fetches `misses` through the wrapped session's
+  /// FetchBatch under the ledger lock, then pays their round trips outside
+  /// it. Returns the per-miss fetched flags.
   std::vector<uint8_t> SyncFetch(std::span<const NodeId> misses);
 
-  /// Cache-hit predicate for the query paths: one acquire load. The flag
-  /// is 0 (uncached) or 1 (cached); the network is immutable, so a set
-  /// flag is all a hit needs.
+  /// Cache-hit predicate for the query paths: one acquire load. The
+  /// network is immutable, so a cached flag is all a hit needs.
   bool HitCached(NodeId v) const {
-    return cached_flags_[v].load(std::memory_order_acquire) != 0;
+    return cached_flags_[v].load(std::memory_order_acquire) == kCached;
   }
 
   /// Resolved metric pointers; all null when observability is off.
@@ -286,9 +297,13 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   CacheMetrics metrics_;
   obs::MetricsRegistry* registry_ = nullptr;
   obs::TraceLog* trace_ = nullptr;
-  mutable std::mutex base_mutex_;
-  Shard shards_[kShards];
   FetchMode fetch_mode_ = FetchMode::kSync;
+  // Serializes every touch of *base_. Every thread's miss writes it, so it
+  // gets its own cache line.
+  alignas(64) mutable SpinParkLock base_mutex_;
+  // Walkers parked on some in-flight flag. ResolveFetch pays the wake-up
+  // only when this is non-zero; it is written only by dedupe waits.
+  alignas(64) std::atomic<uint32_t> claim_waiters_{0};
 
   // Lane engine state. channels_/pipeline_depth_ change only between
   // rounds (SetFetchMode/SetPipelineDepth); tickets_ and round_marks_ are

@@ -92,8 +92,18 @@ BackendPool::BackendPool(const SocialNetwork& network,
   ledger_mutexes_ = std::make_unique<std::mutex[]>(configs_.size());
   plan_scratch_.resize(configs_.size());
   name_hashes_.reserve(configs_.size());
-  for (const BackendConfig& config : configs_) {
+  draw_roots_.reserve(configs_.size());
+  latency_mu_.reserve(configs_.size());
+  for (size_t b = 0; b < configs_.size(); ++b) {
+    const BackendConfig& config = configs_[b];
     name_hashes_.push_back(HashName(config.name));
+    draw_roots_.push_back(Rng(fault_seed_).Fork(b));
+    const double sigma = config.latency_sigma;
+    latency_mu_.push_back(
+        config.latency_mean_us > 0 && sigma > 0.0
+            ? std::log(static_cast<double>(config.latency_mean_us)) -
+                  0.5 * sigma * sigma
+            : 0.0);
   }
   SyncRoutingCounters();
 }
@@ -212,7 +222,8 @@ uint64_t BackendPool::RendezvousScore(size_t b, NodeId v) const {
   return Mix64(name_hashes_[b] ^ Mix64(v));
 }
 
-void BackendPool::RouteOrder(NodeId v, std::vector<size_t>& order) const {
+void BackendPool::RouteOrder(NodeId v, std::vector<size_t>& order,
+                             std::vector<uint64_t>& scores) const {
   const size_t n = configs_.size();
   order.clear();
   if (selection_ == BackendSelection::kSharded) {
@@ -226,11 +237,13 @@ void BackendPool::RouteOrder(NodeId v, std::vector<size_t>& order) const {
   // behind every live one: a spent key is excluded from primary duty
   // instead of answering with a refusal, but stays reachable as a last
   // resort so an all-spent pool still reports refusals.
-  for (size_t b = 0; b < n; ++b) order.push_back(b);
+  scores.resize(n);
+  for (size_t b = 0; b < n; ++b) {
+    order.push_back(b);
+    scores[b] = RendezvousScore(b, v);
+  }
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const uint64_t score_a = RendezvousScore(a, v);
-    const uint64_t score_b = RendezvousScore(b, v);
-    if (score_a != score_b) return score_a > score_b;
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
     return a < b;
   });
   std::stable_partition(order.begin(), order.end(), [&](size_t b) {
@@ -266,16 +279,15 @@ void BackendPool::PaceRequest(size_t b) {
 BackendPool::AttemptDraw BackendPool::DrawAttempt(size_t b, NodeId v,
                                                   uint64_t attempt) const {
   const BackendConfig& config = configs_[b];
-  // One pure-function stream per (backend, node, attempt): latency first,
-  // then the fault draw — arrival order never enters.
-  Rng stream = Rng(fault_seed_).Fork(b).Fork(v).Fork(attempt);
+  // One pure-function stream per (backend, node, attempt), forked from the
+  // backend's root: latency first, then the fault draw — arrival order
+  // never enters.
+  Rng stream = Rng(draw_roots_[b]).Fork(v).Fork(attempt);
   AttemptDraw draw;
   draw.latency_us = config.latency_mean_us;
   if (config.latency_mean_us > 0 && config.latency_sigma > 0.0) {
-    const double sigma = config.latency_sigma;
-    const double mu = std::log(static_cast<double>(config.latency_mean_us)) -
-                      0.5 * sigma * sigma;  // keeps the mean at latency_mean_us
-    draw.latency_us = static_cast<uint64_t>(stream.LogNormal(mu, sigma));
+    draw.latency_us = static_cast<uint64_t>(
+        stream.LogNormal(latency_mu_[b], config.latency_sigma));
   }
   const double u = stream.UniformDouble();
   if (u < config.timeout_rate) {
@@ -292,7 +304,7 @@ BackendPool::AttemptDraw BackendPool::DrawAttempt(size_t b, NodeId v,
 bool BackendPool::PlanOne(NodeId v,
                           std::vector<std::vector<LedgerOp>>& per_backend,
                           uint32_t* first_request_backend) {
-  RouteOrder(v, order_scratch_);
+  RouteOrder(v, order_scratch_, score_scratch_);
   if (first_request_backend != nullptr) *first_request_backend = UINT32_MAX;
   uint64_t attempt = 0;
   for (size_t b : order_scratch_) {
@@ -404,8 +416,9 @@ std::optional<std::vector<uint32_t>> BackendPool::PlanPrefetch(
   std::vector<uint32_t> out;
   out.reserve(ids.size());
   std::vector<size_t> order;
+  std::vector<uint64_t> scores;
   for (NodeId v : ids) {
-    RouteOrder(v, order);
+    RouteOrder(v, order, scores);
     uint32_t pick = UINT32_MAX;
     for (size_t b : order) {
       if (configs_[b].budget && routed_unique_[b] >= *configs_[b].budget) {

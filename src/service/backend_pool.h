@@ -12,6 +12,7 @@
 #include "src/net/restricted_interface.h"
 #include "src/obs/metrics.h"
 #include "src/service/retry_policy.h"
+#include "src/util/rng.h"
 
 namespace mto {
 
@@ -234,7 +235,9 @@ class BackendPool final : public RestrictedInterface {
   /// then index-order failover; for kRendezvous the descending score order
   /// with budget-spent backends partitioned to the back. A pure function of
   /// (node, spent-budget set) — shared by the real plan and PlanPrefetch.
-  void RouteOrder(NodeId v, std::vector<size_t>& order) const;
+  /// `scores` is scratch: each backend is scored once per call.
+  void RouteOrder(NodeId v, std::vector<size_t>& order,
+                  std::vector<uint64_t>& scores) const;
 
   /// Rendezvous score of backend b for node v: a pure hash of the
   /// backend's (stable) name hash and the node id.
@@ -277,7 +280,14 @@ class BackendPool final : public RestrictedInterface {
   /// Stable per-backend name hashes for rendezvous scoring (computed once;
   /// a backend keeps its scores when siblings come and go).
   std::vector<uint64_t> name_hashes_;
+  /// Per-backend draw constants, fixed at construction: the root of the
+  /// backend's (fault_seed, backend) stream, which DrawAttempt forks per
+  /// (node, attempt), and the log-normal mu that keeps the latency mean at
+  /// latency_mean_us.
+  std::vector<Rng> draw_roots_;
+  std::vector<double> latency_mu_;
   std::vector<size_t> order_scratch_;
+  std::vector<uint64_t> score_scratch_;
   std::vector<std::vector<LedgerOp>> plan_scratch_;
 };
 

@@ -2,34 +2,10 @@
 
 #include <stdexcept>
 
+#include "src/util/spin_lock.h"
+
 namespace mto {
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-// Spins until `ready()` holds or kSpinCap elapses; returns ready(). The
-// clock is read every 32 pauses, not every one.
-template <typename Ready>
-bool SpinUntil(Ready ready) {
-  const int64_t deadline = NowNs() + ThreadPool::kSpinCap.count();
-  for (unsigned i = 1;; ++i) {
-    if (ready()) return true;
-    CpuRelax();
-    if (i % 32 == 0 && NowNs() > deadline) return ready();
-  }
-}
 
 // Whether a wait that began at `start_ns` and was signalled at
 // `signalled_ns` would have fit inside the spin cap.
@@ -75,7 +51,7 @@ void ThreadPool::Run(const std::function<void(size_t)>& fn) {
   job_ = &fn;
   remaining_.store(static_cast<uint32_t>(workers_.size()),
                    std::memory_order_relaxed);
-  published_ns_.store(NowNs(), std::memory_order_relaxed);
+  published_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   epoch_.fetch_add(1);  // seq_cst: see ~ThreadPool
   epoch_.notify_all();
 
@@ -83,7 +59,7 @@ void ThreadPool::Run(const std::function<void(size_t)>& fn) {
 
   // `fn` lives on the caller's stack: wait for every lane, even when lane 0
   // threw, before returning or rethrowing.
-  const int64_t start = NowNs();
+  const int64_t start = SteadyNowNs();
   const auto done = [this] {
     return remaining_.load(std::memory_order_acquire) == 0;
   };
@@ -117,7 +93,7 @@ void ThreadPool::WorkerLoop(size_t lane) {
   uint64_t seen = 0;
   bool spins = spin_;
   while (true) {
-    const int64_t start = NowNs();
+    const int64_t start = SteadyNowNs();
     const auto published = [&] {
       return epoch_.load(std::memory_order_acquire) != seen;
     };
@@ -129,7 +105,7 @@ void ThreadPool::WorkerLoop(size_t lane) {
     spins = spin_ && FitsSpinCap(
                          start, published_ns_.load(std::memory_order_relaxed));
     RunLane(lane);
-    done_ns_.store(NowNs(), std::memory_order_relaxed);
+    done_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
     if (remaining_.fetch_sub(1) == 1) {  // seq_cst: see ~ThreadPool
       remaining_.notify_one();
     }

@@ -41,7 +41,8 @@ namespace mto {
 /// rethrown from `Run` on the calling thread after every lane finished.
 class ThreadPool {
  public:
-  /// Longest a waiter spins before it parks.
+  /// Longest a waiter spins before it parks. SpinUntil and SpinParkLock
+  /// (util/spin_lock.h) share it.
   static constexpr std::chrono::nanoseconds kSpinCap{20'000};
 
   explicit ThreadPool(size_t num_threads);

@@ -8,6 +8,7 @@
 
 #include "src/graph/generators.h"
 #include "src/runtime/concurrent_interface_cache.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace mto {
@@ -253,6 +254,109 @@ TEST(BackendPoolTest, RejectsDuplicateBackendNames) {
   distinct[0].name = "key-0";  // matches its own default: fine
   EXPECT_NO_THROW(BackendPool(net, distinct, RetryPolicy{},
                               BackendSelection::kRendezvous, 1));
+}
+
+/// One backend's ledger as recorded: every BackendStats field, then the
+/// backend's simulated clock.
+struct RecordedLedger {
+  uint64_t unique_queries, requests, failed_requests, timeouts,
+      transient_errors, quota_rejections, budget_refusals, pacing_waits,
+      simulated_us, clock_us;
+};
+
+/// Queries every id of a fixed shuffled list through `pool`, then checks
+/// each ledger and the refusal count against constants recorded before the
+/// routing front's draw and rendezvous caches existed. Any change to a
+/// fault, latency or jitter draw, or to a route order, moves them.
+void ExpectRecordedLedgers(BackendPool& pool,
+                           const std::vector<RecordedLedger>& recorded,
+                           uint64_t recorded_failed) {
+  std::vector<NodeId> ids(pool.num_users());
+  std::iota(ids.begin(), ids.end(), 0);
+  Rng(0x5EED).Shuffle(ids);
+  for (NodeId v : ids) pool.Query(v);
+  const BackendPool::PoolSnapshot snapshot = pool.SnapshotBackends();
+  ASSERT_EQ(snapshot.ledgers.size(), recorded.size());
+  for (size_t b = 0; b < recorded.size(); ++b) {
+    const BackendStats& s = snapshot.ledgers[b].stats;
+    const RecordedLedger& r = recorded[b];
+    SCOPED_TRACE(pool.backend_config(b).name);
+    EXPECT_EQ(s.unique_queries, r.unique_queries);
+    EXPECT_EQ(s.requests, r.requests);
+    EXPECT_EQ(s.failed_requests, r.failed_requests);
+    EXPECT_EQ(s.timeouts, r.timeouts);
+    EXPECT_EQ(s.transient_errors, r.transient_errors);
+    EXPECT_EQ(s.quota_rejections, r.quota_rejections);
+    EXPECT_EQ(s.budget_refusals, r.budget_refusals);
+    EXPECT_EQ(s.pacing_waits, r.pacing_waits);
+    EXPECT_EQ(s.simulated_us, r.simulated_us);
+    EXPECT_EQ(snapshot.ledgers[b].clock_us, r.clock_us);
+  }
+  EXPECT_EQ(pool.FailedFetches(), recorded_failed);
+}
+
+TEST(BackendPoolTest, DrawsMatchRecordedLedgers) {
+  // The fleets of perfbench's wide-crawl and mto-fleet workloads
+  // (rendezvous routing, log-normal latency, faults, jittered backoff).
+  // Every key also gets a budget covering 3/4 of its share, and the first
+  // key a rate limit, so spent-key routing, refusals, failed fetches and
+  // pacing are pinned too.
+  SocialNetwork net(Cycle(4000));
+  const auto budgeted = [](std::vector<BackendConfig> fleet) {
+    for (BackendConfig& config : fleet) config.budget = 3000 / fleet.size();
+    fleet[0].rate_per_sec = 5000.0;
+    fleet[0].burst = 4.0;
+    return fleet;
+  };
+  const auto key = [](const char* name, uint64_t latency_us, double sigma,
+                      double timeout, double error, double quota) {
+    BackendConfig config;
+    config.name = name;
+    config.latency_mean_us = latency_us;
+    config.latency_sigma = sigma;
+    config.timeout_rate = timeout;
+    config.error_rate = error;
+    config.quota_rate = quota;
+    config.timeout_us = 1000;
+    return config;
+  };
+  {
+    SCOPED_TRACE("wide-crawl");
+    std::vector<BackendConfig> fleet;
+    for (const char* name : {"key-0", "key-1", "key-2", "key-3"}) {
+      fleet.push_back(key(name, 150, 0.5, 0.01, 0.03, 0.01));
+    }
+    BackendPool pool(net, budgeted(fleet), RetryPolicy{},
+                     BackendSelection::kRendezvous, kFaultSeed);
+    ExpectRecordedLedgers(
+        pool,
+        {{750, 794, 44, 6, 29, 9, 1000, 339, 201356, 201356},
+         {750, 787, 37, 6, 23, 8, 1000, 0, 160775, 160775},
+         {750, 789, 39, 6, 26, 7, 1000, 0, 160955, 160955},
+         {750, 784, 34, 7, 21, 6, 1000, 0, 157644, 157644}},
+        /*recorded_failed=*/1000);
+  }
+  {
+    SCOPED_TRACE("mto-fleet");
+    RetryPolicy retry;
+    retry.max_attempts_per_backend = 3;
+    retry.base_backoff_us = 200;
+    retry.backoff_multiplier = 2.0;
+    retry.max_backoff_us = 100000;
+    retry.jitter = 0.5;
+    const std::vector<BackendConfig> fleet = {
+        key("us-east", 200, 0.6, 0.02, 0.05, 0.01),
+        key("eu-west", 300, 0.6, 0.01, 0.03, 0.02),
+        key("ap-south", 400, 0.6, 0.03, 0.02, 0.01)};
+    BackendPool pool(net, budgeted(fleet), retry,
+                     BackendSelection::kRendezvous, kFaultSeed);
+    ExpectRecordedLedgers(
+        pool,
+        {{1000, 1078, 78, 24, 47, 7, 1000, 122, 257052, 257052},
+         {1000, 1070, 70, 13, 40, 17, 1000, 0, 337771, 337771},
+         {1000, 1063, 63, 30, 23, 10, 1000, 0, 455548, 455548}},
+        /*recorded_failed=*/1000);
+  }
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include "src/spectral/mixing.h"
 #include "src/spectral/transition.h"
 #include "src/util/rng.h"
+#include "src/util/spin_lock.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"

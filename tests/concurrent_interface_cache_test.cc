@@ -18,6 +18,7 @@
 #include "src/net/social_network.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/crawl_scheduler.h"
+#include "src/service/backend_pool.h"
 #include "src/walk/srw.h"
 
 namespace mto {
@@ -100,6 +101,101 @@ TEST(ConcurrentInterfaceCacheTest, OneUniqueQueryPerNodeUnderContention) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(cache.QueryCost(), net.num_users());
   EXPECT_EQ(cache.TotalRequests(), kThreads * net.num_users());
+}
+
+TEST(ConcurrentInterfaceCacheTest, RefusedOwnerHandsItsClaimOn) {
+  // Every fetch of the node is refused: each owner stores "uncached" and
+  // wakes the walkers waiting on the flag, and the next one claims it in
+  // turn. Nobody hangs, and every claim is one refused fetch.
+  SocialNetwork net(Cycle(8));
+  std::vector<BackendConfig> backends(1);
+  backends[0].timeout_rate = 1.0;  // the only key always times out
+  BackendPool pool(net, backends, RetryPolicy{}, BackendSelection::kSharded,
+                   /*fault_seed=*/1);
+  ConcurrentInterfaceCache cache(pool);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kQueries = 50;
+  std::atomic<size_t> answered{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (size_t i = 0; i < kQueries; ++i) {
+        if (cache.Query(3).has_value()) answered.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(answered.load(), 0u);
+  const uint64_t claims = registry.CounterValue("cache.misses");
+  EXPECT_EQ(claims, kThreads * kQueries);  // no query found it cached
+  EXPECT_EQ(pool.FailedFetches(), claims);
+  EXPECT_FALSE(cache.IsCached(3));
+  EXPECT_EQ(cache.QueryCost(), 0u);
+}
+
+TEST(ConcurrentInterfaceCacheTest, MixedCallersRaceForTheSameIds) {
+  // Query, QueryRef and BatchQuery callers walk the same ids at once while
+  // every round trip takes 200 us, so claims collide: walkers wait on each
+  // other's flags, BatchQuery finds ids busy, and still every id is paid
+  // for once and every request is a hit or a miss.
+  SocialNetwork net(Complete(48));
+  RestrictedInterface base(net);
+  base.SetSimulatedLatency(std::chrono::microseconds(200));
+  base.SetMaxBatchSize(4);
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+
+  constexpr size_t kThreads = 6;
+  const NodeId n = net.num_users();
+  std::atomic<size_t> wrong{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Every caller starts at a different id but covers all of them.
+      const NodeId offset = static_cast<NodeId>(t % 2) * (n / 2);
+      for (NodeId k = 0; k < n; k += 6) {
+        std::vector<NodeId> ids;
+        for (NodeId j = k; j < k + 6; ++j) ids.push_back((j + offset) % n);
+        switch (t % 3) {
+          case 0:
+            for (NodeId v : ids) {
+              auto r = cache.Query(v);
+              if (!r || r->user != v || r->degree() != n - 1) wrong++;
+            }
+            break;
+          case 1:
+            for (NodeId v : ids) {
+              auto r = cache.QueryRef(v);
+              if (!r || r->user != v || r->degree() != n - 1) wrong++;
+            }
+            break;
+          default: {
+            ids.push_back(ids.front());  // a repeat within the batch
+            const auto results = cache.BatchQuery(ids);
+            for (size_t i = 0; i < ids.size(); ++i) {
+              if (!results[i] || results[i]->user != ids[i]) wrong++;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cache.QueryCost(), n);
+  cache.PublishMetrics();
+  const auto hits = static_cast<uint64_t>(registry.GaugeValue("cache.hits"));
+  EXPECT_EQ(hits + registry.CounterValue("cache.misses"),
+            cache.TotalRequests());
+  EXPECT_GT(registry.CounterValue("cache.dedupe_waits"), 0u);
 }
 
 TEST(ConcurrentInterfaceCacheTest, BatchQueryDedupesAcrossRacingBatches) {
