@@ -197,9 +197,10 @@ void ConcurrentInterfaceCache::PipelinedFetch(
     return;
   }
   // Publish planned outcomes: the coordinator is the only query-path thread
-  // during this phase (CrawlScheduler's barriers), so the claim machinery
-  // is unnecessary — set the flags directly. Commits may now read these
-  // nodes while their round trips are still in flight on the lanes.
+  // here (CrawlScheduler fetches the frontier between pool regions, while
+  // no walker runs), so the claim machinery is unnecessary — set the flags
+  // directly. Commits may now read these nodes while their round trips are
+  // still in flight on the lanes.
   for (size_t i = 0; i < frontier.size(); ++i) {
     if ((*fetched)[i] != 0) {
       cached_flags_[frontier[i]].store(kCached, std::memory_order_release);

@@ -118,8 +118,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// cached, posts each backend's ledger/latency task to its lane, and
   /// returns without joining. Requires PipelineActive(); must be called
   /// from a single coordinator thread with no concurrent query-path calls
-  /// (CrawlScheduler's phase barriers guarantee this). Falls back to
-  /// sync-identical inline behavior when the wrapped session cannot plan.
+  /// (CrawlScheduler calls it between pool regions, while no walker runs).
+  /// Falls back to sync-identical inline behavior when the wrapped session
+  /// cannot plan.
   void PipelinedFetch(std::span<const NodeId> frontier);
 
   /// Publishes the next round's predicted targets as prefetch tickets:

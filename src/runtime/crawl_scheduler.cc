@@ -130,26 +130,14 @@ void CrawlScheduler::RunFreeRounds(size_t rounds,
   });
 }
 
-void CrawlScheduler::StepActive(std::vector<double>* diagnostics,
-                                size_t slot_base) {
-  const size_t W = walkers_.size();
-  const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
-  // Phase 1 (parallel): draw or peek step targets; proposals never fetch.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      proposals_[i] = w.step_protocol() == StepProtocol::kSingleStep
-                          ? std::nullopt
-                          : w.ProposeStep();
-    }
-  });
-  // Phase 2 (coordinator): fetch the deduplicated uncached frontier in
-  // bulk, in walker order. The pipelined engine plans it exactly like
-  // BatchQuery would — same thread, same order, identical state
-  // mutations — but returns as soon as the
-  // outcomes are *planned* (cache marked, costs charged), leaving the
-  // per-backend latency in flight on the lanes while phase 3 commits.
+void CrawlScheduler::FetchFrontier(bool pipelined) {
+  // Fetch the deduplicated uncached frontier in bulk, in walker order, on
+  // the coordinator between regions: no walker runs, so the IsCached
+  // filter and BatchQuery's request count never depend on timing. The
+  // pipelined engine plans it exactly like BatchQuery would — same
+  // thread, same order, identical state mutations — but returns as soon
+  // as the outcomes are *planned* (cache marked, costs charged), leaving
+  // the per-backend latency in flight on the lanes while the commits run.
   frontier_.clear();
   for (const std::optional<NodeId>& proposal : proposals_) {
     if (!proposal) continue;
@@ -161,78 +149,100 @@ void CrawlScheduler::StepActive(std::vector<double>* diagnostics,
     frontier_.push_back(v);
   }
   for (const NodeId v : frontier_) in_frontier_[v] = false;
-  if (!frontier_.empty()) {
-    obs::TraceSpan fetch_span(trace_,
-                              pipelined ? "frontier.plan" : "frontier.fetch",
-                              frontier_.size());
-    if (pipelined) {
-      cache_->PipelinedFetch(frontier_);
-    } else {
-      interface_->BatchQuery(frontier_);
-    }
+  if (frontier_.empty()) return;
+  obs::TraceSpan fetch_span(trace_,
+                            pipelined ? "frontier.plan" : "frontier.fetch",
+                            frontier_.size());
+  if (pipelined) {
+    cache_->PipelinedFetch(frontier_);
+  } else {
+    interface_->BatchQuery(frontier_);
   }
-  // Phase 3 (parallel): commit against the now-warm cache. kTwoPhase walks
-  // move (only) to their announced target; kSpeculative walks re-validate
-  // their speculation inside CommitStep (or take a plain Step when there
-  // was nothing to prefetch); kSingleStep walks take their whole step here.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      switch (w.step_protocol()) {
-        case StepProtocol::kSingleStep:
-          w.Step();
-          break;
-        case StepProtocol::kTwoPhase:
-          if (proposals_[i]) w.CommitStep(*proposals_[i]);
-          break;
-        case StepProtocol::kSpeculative:
-          if (proposals_[i]) {
-            w.CommitStep(*proposals_[i]);
-          } else {
-            w.Step();
-          }
-          break;
-      }
-      if (diagnostics != nullptr) {
-        (*diagnostics)[slot_base + i] = w.CurrentDegreeForDiagnostic();
-      }
-    }
-  });
-  if (!pipelined) return;
-  // Phase 4 (parallel peek, then coordinator publish): ask each walker for
-  // its predicted next targets — pure reads on saved RNG state, so this
-  // perturbs nothing — and turn them into prefetch tickets. The hints call
-  // runs even when empty: it is the deterministic invalidation point for
-  // the previous step's stale tickets.
-  const size_t width = config_.pipeline_depth;
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      peeks_[i].clear();
-      walkers_[i]->PeekNextTargets(width, peeks_[i]);
-    }
-  });
-  predicted_.clear();
-  for (const std::vector<NodeId>& peeks : peeks_) {
-    predicted_.insert(predicted_.end(), peeks.begin(), peeks.end());
-  }
-  cache_->PostPrefetchHints(predicted_);
 }
 
 void CrawlScheduler::RunCoalescedRounds(size_t rounds,
                                         std::vector<double>* diagnostics) {
   const size_t W = walkers_.size();
-  size_t diag_base = 0;
+  double* slots = nullptr;
   if (diagnostics != nullptr) {
-    diag_base = diagnostics->size();
+    const size_t diag_base = diagnostics->size();
     diagnostics->resize(diag_base + rounds * W);
+    slots = diagnostics->data() + diag_base;
   }
   const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
+  const size_t width = config_.pipeline_depth;
+  // Draws or peeks walker w's step target; proposals never fetch.
+  auto propose = [](Sampler& w) {
+    return w.step_protocol() == StepProtocol::kSingleStep ? std::nullopt
+                                                           : w.ProposeStep();
+  };
+  // One region per round (DESIGN.md §6): round 0's proposals get a region
+  // of their own; after that, walker i commits round r, writes its
+  // diagnostic slot, peeks when pipelined and proposes round r + 1 in the
+  // same region. Propose reads only the walker's own state and its own
+  // current node, which its own commit just cached, so overlapping it with
+  // other walkers' commits changes no sample. The last round proposes
+  // nothing: a proposal never crosses a RunRounds call, because the
+  // service checkpoints (and MTO draws importance weights) in between.
   for (size_t r = 0; r < rounds; ++r) {
     obs::TraceSpan round_span(
         trace_, pipelined ? "round.pipelined" : "round.coalesced");
-    StepActive(diagnostics, diag_base + r * W);
+    if (r == 0) {
+      pool_->Run([&](size_t t) {
+        auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
+        for (size_t i = begin; i < end; ++i) {
+          proposals_[i] = propose(*walkers_[i]);
+        }
+      });
+    }
+    FetchFrontier(pipelined);
+    const bool last = r + 1 == rounds;
+    double* round_slots = slots == nullptr ? nullptr : slots + r * W;
+    pool_->Run([&](size_t t) {
+      auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
+      for (size_t i = begin; i < end; ++i) {
+        Sampler& w = *walkers_[i];
+        // Commit against the now-warm cache. kTwoPhase walks move (only)
+        // to their announced target; kSpeculative walks re-validate their
+        // speculation inside CommitStep (or take a plain Step when there
+        // was nothing to prefetch); kSingleStep walks take their whole
+        // step here.
+        switch (w.step_protocol()) {
+          case StepProtocol::kSingleStep:
+            w.Step();
+            break;
+          case StepProtocol::kTwoPhase:
+            if (proposals_[i]) w.CommitStep(*proposals_[i]);
+            break;
+          case StepProtocol::kSpeculative:
+            if (proposals_[i]) {
+              w.CommitStep(*proposals_[i]);
+            } else {
+              w.Step();
+            }
+            break;
+        }
+        if (round_slots != nullptr) {
+          round_slots[i] = w.CurrentDegreeForDiagnostic();
+        }
+        // Peeks are pure reads on the saved RNG state, so they come before
+        // the propose that consumes it.
+        if (pipelined) {
+          peeks_[i].clear();
+          w.PeekNextTargets(width, peeks_[i]);
+        }
+        if (!last) proposals_[i] = propose(w);
+      }
+    });
+    if (!pipelined) continue;
+    // Turn the peeks into prefetch tickets. The hints call runs even when
+    // empty: it is the deterministic invalidation point for the previous
+    // step's stale tickets (DESIGN.md §10).
+    predicted_.clear();
+    for (const std::vector<NodeId>& peeks : peeks_) {
+      predicted_.insert(predicted_.end(), peeks.begin(), peeks.end());
+    }
+    cache_->PostPrefetchHints(predicted_);
   }
 }
 

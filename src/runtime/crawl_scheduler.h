@@ -28,8 +28,9 @@ struct CrawlConfig {
   /// When true, every round runs in two phases: all walkers propose their
   /// step targets (per-walker RNG, no fetches), the deduplicated frontier
   /// is fetched through the interface's bulk endpoint, then all walkers
-  /// commit. This trades two extra barriers per round for coalesced backend
-  /// round trips — the winning mode when per-request latency dominates.
+  /// commit. This trades one barrier per round (each walker's commit and
+  /// next propose share a region) for coalesced backend round trips — the
+  /// winning mode when per-request latency dominates.
   /// When false, walkers free-run between sync points via plain Step() —
   /// the winning mode when the crawl is CPU-bound. Trajectories are
   /// bit-identical either way.
@@ -165,13 +166,15 @@ class CrawlScheduler {
 
  private:
   void RunFreeRounds(size_t rounds, std::vector<double>* diagnostics);
+  /// Coalesced and pipelined rounds, one pool region each: a region where
+  /// every walker proposes, then per round the coordinator fetches the
+  /// frontier and one region commits round r, writes the diagnostic slots,
+  /// peeks (pipelined) and proposes round r + 1 (none after the last).
   void RunCoalescedRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// The one propose → frontier → commit barrier: steps every walker once
-  /// (coalesced frontier, then commits), writing walker i's diagnostic to
-  /// `(*diagnostics)[slot_base + i]`. Under a live pipeline the frontier is
-  /// planned, not joined, and a peek phase posts the next step's prefetch
-  /// hints (DESIGN.md §10).
-  void StepActive(std::vector<double>* diagnostics, size_t slot_base);
+  /// Coordinator step between regions: dedupes the proposals' uncached
+  /// targets in walker order and fetches them through BatchQuery, or plans
+  /// them without a join under a live pipeline (DESIGN.md §10).
+  void FetchFrontier(bool pipelined);
 
   RestrictedInterface* interface_;
   /// Non-null iff `interface_` is the concurrent cache (then they alias).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/mto_sampler.h"
@@ -10,8 +14,10 @@
 #include "src/graph/generators.h"
 #include "src/net/social_network.h"
 #include "src/runtime/concurrent_interface_cache.h"
+#include "src/service/backend_pool.h"
 #include "src/walk/mhrw.h"
 #include "src/walk/srw.h"
+#include "src/walk/walk_program.h"
 
 namespace mto {
 namespace {
@@ -28,6 +34,8 @@ struct CrawlResult {
   std::vector<double> diagnostics;
   uint64_t query_cost = 0;
   uint64_t backend_requests = 0;
+  /// Every walker's RNG state after each RunRounds call, in call order.
+  std::vector<std::array<uint64_t, 4>> rng_states;
 };
 
 template <typename Factory>
@@ -278,6 +286,130 @@ TEST(CrawlSchedulerTest, DiagnosticsAreRoundMajorInWalkerOrder) {
                      scheduler.walker(i).CurrentDegreeForDiagnostic());
   }
   EXPECT_EQ(scheduler.total_steps(), 15u);
+}
+
+/// One crawl of `program` over a BackendPool fleet behind the concurrent
+/// cache, free-run or coalesced (pipelined when `depth` > 0), advanced by
+/// one RunRounds call per entry of `calls`.
+CrawlResult RunProgramCrawl(const SocialNetwork& net, std::string_view program,
+                            const std::vector<BackendConfig>& fleet,
+                            bool coalesce, size_t threads, size_t depth,
+                            std::initializer_list<size_t> calls,
+                            uint64_t* failed_fetches = nullptr) {
+  RetryPolicy retry;
+  retry.max_attempts_per_backend = 1;
+  BackendPool pool(net, fleet, retry, BackendSelection::kSharded,
+                   /*fault_seed=*/0xFA17);
+  pool.SetMaxBatchSize(16);
+  ConcurrentInterfaceCache session(pool);
+  CrawlConfig config{/*num_walkers=*/16, threads, coalesce};
+  config.pipeline_depth = depth;
+  config.fetch_threads = 2;
+  WalkProgramParams params;
+  params.p = 0.5;  // a genuinely second-order node2vec
+  params.q = 2.0;
+  const WalkProgram& walk = GetWalkProgram(program);
+  CrawlScheduler scheduler(
+      session, config, kSeed,
+      [&](RestrictedInterface& iface, Rng& rng, size_t i) {
+        return walk.MakeWalker(iface, rng, static_cast<NodeId>(i), params);
+      });
+  CrawlResult run;
+  for (size_t rounds : calls) {
+    scheduler.RunRounds(rounds, &run.diagnostics);
+    for (const auto& state : scheduler.SnapshotWalkers()) {
+      run.rng_states.push_back(state.rng_state);
+    }
+  }
+  run.positions = scheduler.Positions();
+  run.query_cost = session.QueryCost();
+  run.backend_requests = session.BackendRequests();
+  if (failed_fetches != nullptr) *failed_fetches = pool.FailedFetches();
+  return run;
+}
+
+constexpr std::string_view kTwoPhasePrograms[] = {"srw", "mhrw", "node2vec",
+                                                  "pagerank", "mto"};
+
+TEST(CrawlSchedulerTest, ProposalsNeverCrossARunRoundsCall) {
+  // Each coalesced round is one pool region in which walker i commits
+  // round r and proposes round r + 1, but the last round of a call
+  // proposes nothing. Splitting 10 rounds into calls of 1, 2 and 7 must
+  // therefore replay one 10-round call exactly, at every thread count and
+  // with the pipeline on or off; and at each call boundary every RNG
+  // stream must stand exactly where free-run Step()s leave it, so no
+  // proposal for the next call has been drawn.
+  SocialNetwork net(TestGraph());
+  std::vector<BackendConfig> fleet(2);
+  fleet[0].error_rate = 0.2;
+  fleet[1].timeout_rate = 0.1;
+  for (std::string_view program : kTwoPhasePrograms) {
+    SCOPED_TRACE(std::string(program));
+    const CrawlResult reference =
+        RunProgramCrawl(net, program, fleet, true, 1, 0, {10});
+    ASSERT_EQ(reference.diagnostics.size(), 10u * 16u);
+    const CrawlResult free_run =
+        RunProgramCrawl(net, program, fleet, false, 1, 0, {1, 2, 7});
+    EXPECT_EQ(reference.positions, free_run.positions);
+    EXPECT_EQ(reference.diagnostics, free_run.diagnostics);
+    EXPECT_EQ(reference.query_cost, free_run.query_cost);
+    for (size_t depth : {0u, 2u}) {
+      for (size_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth) + ", threads " +
+                     std::to_string(threads));
+        const CrawlResult split = RunProgramCrawl(net, program, fleet, true,
+                                                  threads, depth, {1, 2, 7});
+        EXPECT_EQ(reference.positions, split.positions);
+        EXPECT_EQ(reference.diagnostics, split.diagnostics);
+        EXPECT_EQ(reference.query_cost, split.query_cost);
+        EXPECT_EQ(reference.backend_requests, split.backend_requests);
+        EXPECT_EQ(free_run.rng_states, split.rng_states);
+      }
+    }
+  }
+}
+
+TEST(CrawlSchedulerTest, RefusedNodesRefetchWhileOtherWalkersCommit) {
+  // One key refuses every request and the other fails 40% of nodes for
+  // good (one attempt per key, no budget, no pacing), so some start nodes
+  // are never cached. A walker standing on one re-fetches it in every
+  // propose, which now shares a region with other walkers' commits; the
+  // claim protocol must keep every count and trajectory as at 1 thread.
+  SocialNetwork net(TestGraph());
+  std::vector<BackendConfig> fleet(2);
+  fleet[0].error_rate = 1.0;
+  fleet[1].error_rate = 0.4;
+  for (std::string_view program : kTwoPhasePrograms) {
+    SCOPED_TRACE(std::string(program));
+    uint64_t reference_failed = 0;
+    const CrawlResult reference = RunProgramCrawl(net, program, fleet, true,
+                                                  1, 0, {10},
+                                                  &reference_failed);
+    EXPECT_GT(reference_failed, 0u);
+    for (size_t depth : {0u, 2u}) {
+      for (size_t threads : {4u, 8u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth) + ", threads " +
+                     std::to_string(threads));
+        uint64_t failed = 0;
+        const CrawlResult run = RunProgramCrawl(
+            net, program, fleet, true, threads, depth, {10}, &failed);
+        EXPECT_EQ(reference.positions, run.positions);
+        EXPECT_EQ(reference.diagnostics, run.diagnostics);
+        EXPECT_EQ(reference.query_cost, run.query_cost);
+        EXPECT_EQ(reference.backend_requests, run.backend_requests);
+        EXPECT_EQ(reference_failed, failed);
+      }
+    }
+  }
+  // The fleet really strands walkers: some SRW walker never left a start
+  // node that was refused every round.
+  const CrawlResult srw =
+      RunProgramCrawl(net, "srw", fleet, true, 4, 0, {10});
+  size_t stranded = 0;
+  for (size_t i = 0; i < srw.positions.size(); ++i) {
+    if (srw.positions[i] == static_cast<NodeId>(i)) ++stranded;
+  }
+  EXPECT_GT(stranded, 0u);
 }
 
 TEST(CrawlSchedulerTest, RejectsInvalidConfigs) {
