@@ -31,8 +31,7 @@ bool MtoSampler::Fetch(NodeId v) {
   return true;
 }
 
-bool MtoSampler::RemovableNow(NodeId u, NodeId v,
-                               std::optional<uint32_t>& overlay_common) {
+bool MtoSampler::RemovableNow(NodeId u, NodeId v) const {
   // Guard on *overlay* degrees regardless of basis: removal must not strand
   // the walk (DESIGN.md §5).
   const uint32_t floor = std::max(config_.min_overlay_degree, 1u);
@@ -46,7 +45,6 @@ bool MtoSampler::RemovableNow(NodeId u, NodeId v,
   const uint32_t common = original
                               ? overlay_.OriginalCommonNeighborCount(u, v)
                               : overlay_.CommonNeighborCount(u, v);
-  if (!original) overlay_common = common;
   // Theorem 3 always applies; Theorem 5 is a second sufficient condition,
   // not a uniformly stronger one (its ceil-rounding can lose half a unit
   // when a known common neighbor has kw = 3), so take the OR.
@@ -60,7 +58,7 @@ bool MtoSampler::RemovableNow(NodeId u, NodeId v,
       original ? overlay_.OriginalNeighbors(u) : overlay_.Neighbors(u);
   const NeighborView b =
       original ? overlay_.OriginalNeighbors(v) : overlay_.Neighbors(v);
-  small_degrees_.clear();
+  std::vector<uint32_t> small_degrees;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -75,22 +73,21 @@ bool MtoSampler::RemovableNow(NodeId u, NodeId v,
       } else if (auto cached = interface().CachedDegree(w)) {
         kw = *cached;
       }
-      if (kw == 2 || kw == 3) small_degrees_.push_back(kw);
+      if (kw == 2 || kw == 3) small_degrees.push_back(kw);
       ++i;
       ++j;
     }
   }
-  return RemovalCriterionExtended(common, ku, kv, small_degrees_);
+  return RemovalCriterionExtended(common, ku, kv, small_degrees);
 }
 
 bool MtoSampler::ClassifyEdge(NodeId u, NodeId& v) {
-  std::optional<uint32_t> common;
-  if (config_.enable_removal && RemovableNow(u, v, common)) {
+  if (config_.enable_removal && RemovableNow(u, v)) {
     // Connectivity guard: only remove when a detour provably exists in the
     // known overlay. When the region is still too unexplored to prove it,
     // keep the edge *unprocessed* so a later, better-informed visit can
     // retry the removal.
-    if (overlay_.PathExistsAvoiding(u, v, common)) {
+    if (overlay_.PathExistsAvoiding(u, v)) {
       overlay_.RemoveEdge(u, v);
       overlay_.MarkProcessed(u, v);
       return true;
@@ -101,13 +98,13 @@ bool MtoSampler::ClassifyEdge(NodeId u, NodeId& v) {
     overlay_.MarkProcessed(u, v);
     if (rng().Bernoulli(config_.replace_probability)) {
       // Candidate w ∈ N*(v) \ {u} with (u,w) not already an overlay edge.
-      candidates_.clear();
+      std::vector<NodeId> candidates;
       for (NodeId w : overlay_.Neighbors(v)) {
-        if (w != u && !overlay_.HasEdge(u, w)) candidates_.push_back(w);
+        if (w != u && !overlay_.HasEdge(u, w)) candidates.push_back(w);
       }
-      if (!candidates_.empty()) {
-        NodeId w = candidates_[static_cast<size_t>(
-            rng().UniformInt(candidates_.size()))];
+      if (!candidates.empty()) {
+        NodeId w = candidates[static_cast<size_t>(
+            rng().UniformInt(candidates.size()))];
         if (Fetch(w)) {
           overlay_.RemoveEdge(u, v);
           overlay_.AddEdge(u, w);
@@ -218,14 +215,13 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
     // overlay degree. Unclassified edges to unseen nodes count as surviving.
     if (config_.enable_removal) {
       const NeighborView view = overlay_.Neighbors(u);
-      snapshot_.assign(view.begin(), view.end());  // removals edit the list
-      for (NodeId w : snapshot_) {
+      const std::vector<NodeId> snapshot(view.begin(), view.end());  // copy
+      for (NodeId w : snapshot) {
         if (overlay_.IsProcessed(u, w)) continue;
         if (!overlay_.IsRegistered(w) && !interface().IsCached(w)) continue;
         if (!Fetch(w)) continue;  // registers from cache, never costs
-        std::optional<uint32_t> common;
-        if (RemovableNow(u, w, common)) {
-          if (!overlay_.PathExistsAvoiding(u, w, common)) continue;  // retry
+        if (RemovableNow(u, w)) {
+          if (!overlay_.PathExistsAvoiding(u, w)) continue;  // retry later
           overlay_.RemoveEdge(u, w);
         }
         overlay_.MarkProcessed(u, w);
@@ -234,16 +230,15 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
     return static_cast<double>(overlay_.Degree(u));
   }
   const NeighborView view = overlay_.Neighbors(u);
-  snapshot_.assign(view.begin(), view.end());  // removals edit the list
+  const std::vector<NodeId> snapshot(view.begin(), view.end());  // copy
 
   auto classify = [&](NodeId w) -> bool {
     // Returns true iff the edge (u, w) survives classification. Removals are
     // applied for real so the estimate and the walked topology agree.
     if (overlay_.IsProcessed(u, w)) return overlay_.HasEdge(u, w);
     if (!Fetch(w)) return true;  // cannot classify: count as surviving
-    std::optional<uint32_t> common;
-    if (config_.enable_removal && RemovableNow(u, w, common)) {
-      if (!overlay_.PathExistsAvoiding(u, w, common)) return true;  // retry
+    if (config_.enable_removal && RemovableNow(u, w)) {
+      if (!overlay_.PathExistsAvoiding(u, w)) return true;  // retry later
       overlay_.RemoveEdge(u, w);
       overlay_.MarkProcessed(u, w);
       return false;
@@ -255,12 +250,12 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
   const uint32_t probe = config_.degree_probe;
   if (config_.weight_mode == OverlayDegreeMode::kExact || probe == 0 ||
       probe >= k_before) {
-    for (NodeId w : snapshot_) classify(w);
+    for (NodeId w : snapshot) classify(w);
     return static_cast<double>(overlay_.Degree(u));
   }
   uint32_t survive = 0;
   for (size_t idx : rng().SampleWithoutReplacement(k_before, probe)) {
-    if (classify(snapshot_[idx])) ++survive;
+    if (classify(snapshot[idx])) ++survive;
   }
   // Unbiased scale-up of the survival fraction (paper Section IV-A).
   return static_cast<double>(k_before) * static_cast<double>(survive) /

@@ -195,11 +195,8 @@ class MtoSampler final : public Sampler {
   /// new endpoint w.
   bool ClassifyEdge(NodeId u, NodeId& v);
 
-  /// Theorem 3/5 evaluation for the overlay edge (u, v). Stores the
-  /// overlay common-neighbour count in `overlay_common` when it counted
-  /// one (overlay criterion basis), for PathExistsAvoiding's fast path.
-  bool RemovableNow(NodeId u, NodeId v,
-                    std::optional<uint32_t>& overlay_common);
+  /// Theorem 3/5 evaluation for the overlay edge (u, v).
+  bool RemovableNow(NodeId u, NodeId v) const;
 
   /// Exact or probed overlay degree of u (may issue queries).
   double EstimateOverlayDegree(NodeId u);
@@ -213,13 +210,6 @@ class MtoSampler final : public Sampler {
   bool moved_first_try_ = false;
   uint64_t speculative_commits_ = 0;
   uint64_t speculation_hits_ = 0;
-
-  // Per-call scratch: cleared on use, never freed, so a step allocates
-  // only when a list outgrows every earlier one. Holds nothing between
-  // calls and is not walker state (checkpoints ignore it).
-  std::vector<uint32_t> small_degrees_;  // RemovableNow's Theorem 5 kw
-  std::vector<NodeId> candidates_;       // ClassifyEdge's replacement w
-  std::vector<NodeId> snapshot_;         // EstimateOverlayDegree's list
 };
 
 }  // namespace mto

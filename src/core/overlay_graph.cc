@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 namespace mto {
@@ -177,33 +178,27 @@ void OverlayGraph::MarkProcessed(NodeId u, NodeId v) {
 }
 
 bool OverlayGraph::PathExistsAvoiding(NodeId u, NodeId v,
-                                      std::optional<uint32_t> known_common,
-                                      size_t max_visits) {
+                                      size_t max_visits) const {
   if (!IsRegistered(u)) return false;
   // Fast path: a shared overlay neighbor is a length-2 detour.
-  if (IsRegistered(v) &&
-      (known_common ? *known_common : CommonNeighborCount(u, v)) > 0) {
-    return true;
-  }
-  // Breadth-first over one FIFO queue: it visits nodes in the same order a
-  // level-by-level frontier would. Every visited node is queued exactly
-  // once, so the queue's length is the visit count.
-  detour_seen_.Clear();
-  detour_queue_.clear();
-  detour_seen_.Insert(u, 1);
-  detour_queue_.push_back(u);
-  if (max_visits <= 1) return false;
-  for (size_t head = 0; head < detour_queue_.size(); ++head) {
-    const NodeId x = detour_queue_[head];
-    if (!IsRegistered(x)) continue;  // reachable but not expandable
-    for (NodeId y : Neighbors(x)) {
-      if ((x == u && y == v) || (x == v && y == u)) continue;  // the edge
-      if (y == v) return true;
-      if (detour_seen_.Insert(y, 1)) {
-        detour_queue_.push_back(y);
-        if (detour_queue_.size() >= max_visits) return false;
+  if (IsRegistered(v) && CommonNeighborCount(u, v) > 0) return true;
+  std::unordered_set<NodeId> seen{u};
+  std::vector<NodeId> frontier{u};
+  std::vector<NodeId> next;
+  while (!frontier.empty() && seen.size() < max_visits) {
+    next.clear();
+    for (NodeId x : frontier) {
+      if (!IsRegistered(x)) continue;  // reachable but not expandable
+      for (NodeId y : Neighbors(x)) {
+        if ((x == u && y == v) || (x == v && y == u)) continue;  // the edge
+        if (y == v) return true;
+        if (seen.insert(y).second) {
+          next.push_back(y);
+          if (seen.size() >= max_visits) return false;
+        }
       }
     }
+    frontier.swap(next);
   }
   return false;
 }

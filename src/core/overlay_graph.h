@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -120,14 +119,8 @@ class OverlayGraph {
   /// Explores at most `max_visits` nodes; returns false when the budget runs
   /// out, so a true result is a proof and a false result is "unknown".
   /// This is the connectivity guard that keeps aggressive removals from
-  /// stranding the walk (DESIGN.md §5). `known_common`, when given, must be
-  /// CommonNeighborCount(u, v) on the current overlay; a caller that has
-  /// just counted it saves the fast path a second intersection. Not const:
-  /// the search reuses this overlay's scratch (cleared, never freed), so
-  /// one overlay must not be searched from two threads at once.
-  bool PathExistsAvoiding(NodeId u, NodeId v,
-                          std::optional<uint32_t> known_common = std::nullopt,
-                          size_t max_visits = 4096);
+  /// stranding the walk (DESIGN.md §5).
+  bool PathExistsAvoiding(NodeId u, NodeId v, size_t max_visits = 4096) const;
 
   /// Net overlay-degree change per node implied by all recorded removals
   /// and additions: k*_v = k_v + delta[v] (0 when absent). Covers nodes that
@@ -200,18 +193,6 @@ class OverlayGraph {
       values_[i] = init;
       ++size_;
       return values_[i];
-    }
-    /// Inserts `key` as `init` when absent; true iff it was absent.
-    bool Insert(K key, V init) {
-      const size_t before = size_;
-      FindOrInsert(key, init);
-      return size_ != before;
-    }
-    /// Drops every entry and keeps the capacity.
-    void Clear() {
-      if (size_ == 0) return;
-      std::fill(values_.begin(), values_.end(), kEmpty);
-      size_ = 0;
     }
     template <typename F>
     void ForEach(F&& f) const {
@@ -293,11 +274,6 @@ class OverlayGraph {
   std::vector<std::vector<NodeId>> pending_;
   size_t num_removed_ = 0;
   size_t num_added_ = 0;
-  // PathExistsAvoiding's scratch: its visit set and FIFO queue. Cleared at
-  // the start of each search and never freed, so a search allocates only
-  // when it outgrows every earlier one. Holds nothing between calls.
-  FlatMap<NodeId, uint8_t, 0> detour_seen_;
-  std::vector<NodeId> detour_queue_;
 };
 
 }  // namespace mto

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <unordered_map>
 #include <vector>
 
@@ -454,80 +453,6 @@ TEST(OverlayGraphTest, MatchesMapReferenceOnRandomEditSequences) {
           << "after op " << op << " (kind " << kind << ")";
     }
   }
-}
-
-/// The detour search as a fresh hash set and two frontier vectors: the
-/// shape PathExistsAvoiding had before it reused scratch buffers.
-bool ReferenceDetour(const OverlayGraph& overlay, NodeId u, NodeId v,
-                     size_t max_visits) {
-  if (!overlay.IsRegistered(u)) return false;
-  if (overlay.IsRegistered(v) && overlay.CommonNeighborCount(u, v) > 0) {
-    return true;
-  }
-  std::unordered_set<NodeId> seen{u};
-  std::vector<NodeId> frontier{u};
-  std::vector<NodeId> next;
-  while (!frontier.empty() && seen.size() < max_visits) {
-    next.clear();
-    for (NodeId x : frontier) {
-      if (!overlay.IsRegistered(x)) continue;
-      for (NodeId y : overlay.Neighbors(x)) {
-        if ((x == u && y == v) || (x == v && y == u)) continue;
-        if (y == v) return true;
-        if (seen.insert(y).second) {
-          next.push_back(y);
-          if (seen.size() >= max_visits) return false;
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-  return false;
-}
-
-TEST(OverlayGraphTest, DetourSearchMatchesReferenceAcrossReuse) {
-  // Many searches on one overlay reuse its scratch; each must answer as a
-  // fresh search would, at every visit budget, with or without the
-  // caller's common-neighbour count.
-  constexpr NodeId kNodes = 80;
-  size_t found = 0, budget_outs = 0;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    const Graph g = ErdosRenyi(kNodes, 0.05, rng);
-    OverlayGraph overlay;
-    for (NodeId v = 0; v < kNodes; ++v) {
-      if (rng.Bernoulli(0.7)) overlay.RegisterNode(v, g.Neighbors(v));
-    }
-    for (int i = 0; i < 40; ++i) {
-      const NodeId u = static_cast<NodeId>(rng.UniformInt(kNodes));
-      const auto nbrs = g.Neighbors(u);
-      if (!nbrs.empty()) overlay.RemoveEdge(u, nbrs[rng.UniformInt(nbrs.size())]);
-    }
-    for (int i = 0; i < 200; ++i) {
-      const NodeId u = static_cast<NodeId>(rng.UniformInt(kNodes));
-      const auto nbrs = g.Neighbors(u);
-      const NodeId v = !nbrs.empty() && rng.Bernoulli(0.7)
-                           ? nbrs[rng.UniformInt(nbrs.size())]
-                           : static_cast<NodeId>(rng.UniformInt(kNodes));
-      for (size_t budget : {size_t{1}, size_t{2}, size_t{5}, size_t{4096}}) {
-        const bool expected = ReferenceDetour(overlay, u, v, budget);
-        EXPECT_EQ(overlay.PathExistsAvoiding(u, v, std::nullopt, budget),
-                  expected)
-            << u << "-" << v << " budget " << budget;
-        if (overlay.IsRegistered(u) && overlay.IsRegistered(v)) {
-          EXPECT_EQ(overlay.PathExistsAvoiding(
-                        u, v, overlay.CommonNeighborCount(u, v), budget),
-                    expected);
-        }
-        found += expected;
-        budget_outs += !expected && ReferenceDetour(overlay, u, v, 1 << 20);
-      }
-    }
-  }
-  // Both outcomes occur, and small budgets really cut searches short.
-  EXPECT_GT(found, 0u);
-  EXPECT_GT(budget_outs, 0u);
 }
 
 }  // namespace
