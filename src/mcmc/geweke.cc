@@ -49,6 +49,14 @@ bool GewekeMonitor::Converged() {
   return converged_;
 }
 
+bool GewekeMonitor::AddAll(std::span<const double> thetas) {
+  for (double theta : thetas) {
+    Add(theta);
+    Converged();
+  }
+  return Converged();
+}
+
 void GewekeMonitor::Reset() {
   trace_.clear();
   next_check_ = min_length_;

@@ -47,6 +47,13 @@ class GewekeMonitor {
   /// Sticky: once converged, stays converged.
   bool Converged();
 
+  /// Add() then Converged() for each value in order, and returns
+  /// Converged(): true when any check within the span passed. Checking
+  /// after every value keeps the check schedule a function of the stream
+  /// alone, however the stream is split into spans (burn-in epochs, a
+  /// checkpoint replay).
+  bool AddAll(std::span<const double> thetas);
+
   /// Most recently computed Z (infinity before the first evaluation).
   double last_z() const { return last_z_; }
 

@@ -10,13 +10,14 @@ namespace obs {
 
 EstimateTelemetry ComputeEstimateTelemetry(std::span<const double> diagnostics,
                                            std::span<const double> values,
-                                           std::span<const double> weights) {
+                                           std::span<const double> weights,
+                                           std::optional<double> estimate) {
   EstimateTelemetry t;
   t.num_samples = values.size();
 
   if (!diagnostics.empty()) {
-    // Default GewekeOptions — the same eq. 14 form the pipeline's burn-in
-    // monitor applies, so the published value tracks the stopping rule.
+    // Default GewekeOptions — the same eq. 14 form the burn-in monitor
+    // applies, so the published value tracks the stopping rule.
     const double z = GewekeZ(diagnostics);
     if (std::isfinite(z)) {
       t.geweke_z = z;
@@ -24,16 +25,11 @@ EstimateTelemetry ComputeEstimateTelemetry(std::span<const double> diagnostics,
     }
   }
 
-  if (values.empty() || values.size() != weights.size()) return t;
-
-  double weight_sum = 0.0;
-  double weighted_sum = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    weight_sum += weights[i];
-    weighted_sum += values[i] * weights[i];
+  if (values.empty() || values.size() != weights.size() ||
+      !estimate.has_value()) {
+    return t;
   }
-  if (weight_sum <= 0.0) return t;
-  t.estimate = weighted_sum / weight_sum;
+  t.estimate = *estimate;
   t.has_estimate = true;
 
   const double ess = EffectiveSampleSize(values);
@@ -42,9 +38,11 @@ EstimateTelemetry ComputeEstimateTelemetry(std::span<const double> diagnostics,
     t.has_ess = true;
     // Self-normalized weighted variance around the estimate, discounted to
     // the chain's effective (not nominal) sample count: the honest width.
+    double weight_sum = 0.0;
     double weighted_var = 0.0;
     for (size_t i = 0; i < values.size(); ++i) {
       const double d = values[i] - t.estimate;
+      weight_sum += weights[i];
       weighted_var += weights[i] * d * d;
     }
     weighted_var /= weight_sum;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 
 #include "src/obs/metrics.h"
@@ -17,7 +18,7 @@ namespace obs {
 /// DESIGN.md §11). Non-finite values (e.g. Geweke Z before either window
 /// has data) are simply not published.
 struct EstimateTelemetry {
-  double estimate = 0.0;      ///< self-normalized weighted mean
+  double estimate = 0.0;      ///< the running estimate passed in
   double geweke_z = 0.0;      ///< paper eq. 14 form over the diag trace
   double ess = 0.0;           ///< initial-positive-sequence ESS of values
   double ci_halfwidth = 0.0;  ///< 1.96 * sqrt(weighted_var / ess)
@@ -29,12 +30,16 @@ struct EstimateTelemetry {
   bool has_ci = false;
 };
 
-/// Computes the telemetry from the burn-in diagnostics trace and the
-/// collected (value, weight) sample streams. `values` and `weights` must be
+/// Computes the telemetry from the burn-in diagnostics trace, the
+/// collected (value, weight) sample streams, and the crawl's running
+/// self-normalized estimate over those samples (nullopt until a positively
+/// weighted sample arrived). The estimate is published as given and centres
+/// the CI variance; it is not re-summed here. `values` and `weights` must be
 /// the same length.
 EstimateTelemetry ComputeEstimateTelemetry(std::span<const double> diagnostics,
                                            std::span<const double> values,
-                                           std::span<const double> weights);
+                                           std::span<const double> weights,
+                                           std::optional<double> estimate);
 
 /// Publishes the telemetry as double gauges: estimate.current,
 /// estimate.geweke_z, estimate.ess, estimate.ci_halfwidth, plus the integer

@@ -102,7 +102,7 @@ class CrawlScheduler {
   /// Advances every walker `rounds` steps. When `diagnostics` is non-null
   /// it receives one CurrentDegreeForDiagnostic() value per walker per
   /// round, round-major in walker order (appended; `rounds * size()`
-  /// values) — the multi-chain trace the estimation pipeline consumes.
+  /// values) — the multi-chain trace the burn-in Geweke monitor consumes.
   void RunRounds(size_t rounds, std::vector<double>* diagnostics = nullptr);
 
   size_t size() const { return walkers_.size(); }

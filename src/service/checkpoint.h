@@ -21,11 +21,11 @@ enum class CrawlPhase : uint8_t { kBurnIn = 0, kSampling = 1, kDone = 2 };
 /// (diagnostics and weighted samples), and — for MTO crawls — every
 /// walker's overlay delta (registered nodes + edge-rule mutations + frozen
 /// flag; the walker's rewiring RNG is the walker RNG already captured in
-/// WalkerState). On resume the streams are replayed into a fresh
-/// EstimationPipeline — its state after n items is a pure function of the
-/// stream prefix, so replay reproduces the exact Geweke verdicts, running
-/// estimate, and trace — and each overlay is rebuilt from its delta (see
-/// DESIGN.md §7/§8).
+/// WalkerState). On resume the streams are replayed into the fresh
+/// service's GewekeMonitor and running importance mean — their state after
+/// n items is a pure function of the stream prefix, so replay reproduces
+/// the exact Geweke verdicts, running estimate, and trace — and each overlay
+/// is rebuilt from its delta (see DESIGN.md §7/§8).
 ///
 /// Format: little-endian binary, magic "MTOCKPT" + version. Version 2 adds
 /// the overlay section, guarded by its own FNV-1a checksum so a corrupted

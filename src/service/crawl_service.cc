@@ -20,7 +20,9 @@ constexpr uint64_t kProfileSeed = 0x50C1A1;
 CrawlService::CrawlService(const ScenarioConfig& config)
     : config_(config),
       network_(SocialNetwork::WithSyntheticProfiles(
-          MakeDataset(config.dataset), kProfileSeed)) {
+          MakeDataset(config.dataset), kProfileSeed)),
+      monitor_(config.geweke_threshold, config.geweke_min_length,
+               config.geweke_check_every) {
   config_.Validate();
   program_ = &GetWalkProgram(config_.program.name);
 
@@ -59,13 +61,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
         return program_->MakeWalker(iface, rng, start, params);
       });
 
-  EstimationPipeline::Options options;
-  options.geweke_threshold = config_.geweke_threshold;
-  options.geweke_min_length = config_.geweke_min_length;
-  options.geweke_check_every = config_.geweke_check_every;
-  options.queue_capacity = config_.queue_capacity;
-  pipeline_ = std::make_unique<EstimationPipeline>(options);
-
   collection_rounds_target_ =
       (config_.num_samples + config_.num_walkers - 1) / config_.num_walkers;
 
@@ -85,7 +80,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   }
   if (registry_ != nullptr || trace_log_ != nullptr) {
     scheduler_->SetObservability(registry_.get(), trace_log_.get());
-    pipeline_->SetObservability(registry_.get(), trace_log_.get());
   }
   if (config_.observability.http_port.has_value()) {
     obs::ProgressWatchdog::Options wd;
@@ -130,13 +124,26 @@ void CrawlService::CollectionRound() {
     record.value = AttributeValue(walker, config_.attribute);
     record.weight = walker.ImportanceWeight();
     record.query_cost = session_->QueryCost();
-    pipeline_->PushSample(record.value, record.weight, record.query_cost);
-    samples_stream_.push_back(record);
+    RecordSample(record);
   }
   ++collection_rounds_done_;
   if (collection_rounds_done_ >= collection_rounds_target_) {
     phase_ = CrawlPhase::kDone;
   }
+}
+
+void CrawlService::RecordSample(
+    const ServiceCheckpoint::SampleRecord& record) {
+  if (record.weight > 0.0) estimate_.Add(record.value, record.weight);
+  if (estimate_.Valid()) {
+    result_.trace.push_back({record.query_cost, estimate_.Estimate()});
+  }
+  samples_stream_.push_back(record);
+}
+
+std::optional<double> CrawlService::RunningEstimate() const {
+  if (!estimate_.Valid()) return std::nullopt;
+  return estimate_.Estimate();
 }
 
 void CrawlService::TakeSnapshot() {
@@ -147,7 +154,8 @@ void CrawlService::TakeSnapshot() {
   pool_->PublishMetrics(*registry_);
   session_->PublishMetrics();
   // Estimator-quality bridge (src/obs/convergence): pure functions of the
-  // already-kept estimation streams, published as double gauges.
+  // already-kept estimation streams and the running estimate, published as
+  // double gauges.
   {
     std::vector<double> values;
     std::vector<double> weights;
@@ -159,7 +167,8 @@ void CrawlService::TakeSnapshot() {
     }
     obs::PublishEstimateTelemetry(
         *registry_,
-        obs::ComputeEstimateTelemetry(diagnostics_stream_, values, weights));
+        obs::ComputeEstimateTelemetry(monitor_.trace(), values, weights,
+                                      RunningEstimate()));
   }
   snapshots_.push_back(registry_->Snapshot(units_done_));
   if (watchdog_ != nullptr) watchdog_->ObserveSnapshot(snapshots_.back());
@@ -178,7 +187,7 @@ void CrawlService::TakeSnapshot() {
 }
 
 bool CrawlService::Advance() {
-  if (phase_ == CrawlPhase::kDone) return false;
+  if (phase_ == CrawlPhase::kDone || finished_) return false;
   started_ = true;
   if (phase_ == CrawlPhase::kBurnIn) {
     obs::TraceSpan span(trace_log_.get(), "unit.burn_in", units_done_ + 1);
@@ -188,14 +197,11 @@ bool CrawlService::Advance() {
     if (chunk > 0 && !burn_in_converged_) {
       diag_scratch_.clear();
       scheduler_->RunRounds(chunk, &diag_scratch_);
-      pipeline_->PushDiagnostics(diag_scratch_);
-      diagnostics_stream_.insert(diagnostics_stream_.end(),
-                                 diag_scratch_.begin(), diag_scratch_.end());
       rounds_ += chunk;
-      // Epoch-boundary decision on a fully-consumed prefix: a pure
-      // function of the diagnostic stream (see EstimationPipeline).
-      burn_in_converged_ =
-          pipeline_->ConvergedAfter(rounds_ * config_.num_walkers);
+      // The monitor checks after every value, so the epoch-boundary
+      // verdict ("converged at any check so far") is a pure function of
+      // the diagnostic stream, however it was split into epochs.
+      burn_in_converged_ = monitor_.AddAll(diag_scratch_);
     }
     if (burn_in_converged_ || rounds_ >= config_.max_burn_in_rounds) {
       EndBurnIn();
@@ -236,16 +242,11 @@ ServiceResult CrawlService::Run() {
 
 ServiceResult CrawlService::Finish() {
   if (!finished_) {
-    const EstimationPipeline::Result estimation = pipeline_->Finish();
     result_.samples.reserve(samples_stream_.size());
     for (const auto& record : samples_stream_) {
       result_.samples.push_back(record.node);
     }
-    result_.trace.reserve(estimation.trace.size());
-    for (const auto& point : estimation.trace) {
-      result_.trace.push_back({point.query_cost, point.estimate});
-    }
-    result_.final_estimate = estimation.estimate;
+    result_.final_estimate = RunningEstimate().value_or(0.0);
     result_.burn_in_converged = burn_in_converged_;
     result_.burn_in_rounds = burn_in_rounds_;
     result_.burn_in_query_cost = burn_in_query_cost_;
@@ -292,7 +293,7 @@ JsonValue CrawlService::RunReport() const {
   // The result section is always present. Once Finish() froze the result
   // surface it echoes that; mid-run (the incremental report behind
   // /report and report_path) it carries the current partial values, with
-  // the running self-normalized mean standing in for the final estimate.
+  // the running self-normalized mean as the estimate so far.
   JsonValue result = JsonValue::Object();
   auto& res = result.MutableObject();
   if (finished_) {
@@ -314,14 +315,7 @@ JsonValue CrawlService::RunReport() const {
     res["simulated_time_us"] =
         JsonValue(static_cast<double>(result_.simulated_time_us));
   } else {
-    double weight_sum = 0.0;
-    double weighted_sum = 0.0;
-    for (const auto& record : samples_stream_) {
-      weight_sum += record.weight;
-      weighted_sum += record.value * record.weight;
-    }
-    res["final_estimate"] =
-        JsonValue(weight_sum > 0.0 ? weighted_sum / weight_sum : 0.0);
+    res["final_estimate"] = JsonValue(RunningEstimate().value_or(0.0));
     res["burn_in_converged"] = JsonValue(burn_in_converged_);
     res["burn_in_rounds"] =
         JsonValue(static_cast<double>(burn_in_rounds_));
@@ -400,7 +394,7 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
   ckpt.burn_in_converged = burn_in_converged_ ? 1 : 0;
   ckpt.burn_in_rounds = burn_in_rounds_;
   ckpt.burn_in_query_cost = burn_in_query_cost_;
-  ckpt.diagnostics = diagnostics_stream_;
+  ckpt.diagnostics = monitor_.trace();
   ckpt.samples = samples_stream_;
   // Overlay-carrying walkers (MTO) additionally snapshot their delta per
   // walker (walker order). The rewiring RNG is the walker RNG, already
@@ -514,15 +508,13 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
         "program");
   }
 
-  // Replay the estimation streams: the pipeline's state after n items is a
-  // pure function of the stream prefix, so the resumed consumer reaches the
-  // exact state of the interrupted one.
-  if (!ckpt.diagnostics.empty()) {
-    pipeline_->PushDiagnostics(ckpt.diagnostics);
-  }
-  for (const auto& record : ckpt.samples) {
-    pipeline_->PushSample(record.value, record.weight, record.query_cost);
-  }
+  // Replay the estimation streams: the monitor's and the running mean's
+  // state after n items is a pure function of the stream prefix, so the
+  // resumed service reaches the exact state of the interrupted one (the
+  // same Geweke check schedule, estimate and trace).
+  monitor_.AddAll(ckpt.diagnostics);
+  samples_stream_.reserve(ckpt.samples.size());
+  for (const auto& record : ckpt.samples) RecordSample(record);
 
   phase_ = ckpt.phase;
   rounds_ = static_cast<size_t>(ckpt.rounds);
@@ -530,8 +522,6 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
   burn_in_converged_ = ckpt.burn_in_converged != 0;
   burn_in_rounds_ = static_cast<size_t>(ckpt.burn_in_rounds);
   burn_in_query_cost_ = ckpt.burn_in_query_cost;
-  diagnostics_stream_ = ckpt.diagnostics;
-  samples_stream_ = ckpt.samples;
   started_ = true;
 }
 

@@ -6,14 +6,15 @@
 #include <string>
 #include <vector>
 
+#include "src/estimate/estimators.h"
 #include "src/experiments/harness.h"
+#include "src/mcmc/geweke.h"
 #include "src/obs/exporter.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
 #include "src/runtime/concurrent_interface_cache.h"
 #include "src/runtime/crawl_scheduler.h"
-#include "src/runtime/estimation_pipeline.h"
 #include "src/service/backend_pool.h"
 #include "src/service/checkpoint.h"
 #include "src/service/scenario_config.h"
@@ -40,9 +41,12 @@ struct ServiceResult {
 };
 
 /// The fault-tolerant crawl driver: wires a ScenarioConfig into a
-/// BackendPool (multi-backend session) behind a ConcurrentInterfaceCache,
-/// a CrawlScheduler (sharded walkers), and an EstimationPipeline (async
-/// Geweke + estimate), and drives burn-in then sampling in resumable units.
+/// BackendPool (multi-backend session) behind a ConcurrentInterfaceCache
+/// and a CrawlScheduler (sharded walkers), and drives burn-in then sampling
+/// in resumable units. Estimation runs on the driver thread, in stream
+/// order: a GewekeMonitor ends burn-in and one RunningImportanceMean is the
+/// estimate behind the result, the mid-run report and the estimate.current
+/// gauge.
 ///
 /// `Advance()` performs one unit — a burn-in epoch (geweke_check_every
 /// rounds) or one collection round — and every unit boundary is a valid
@@ -80,15 +84,16 @@ class CrawlService {
 
   bool Done() const { return phase_ == CrawlPhase::kDone; }
 
-  /// One resumable unit of progress; returns false once the crawl is done.
+  /// One resumable unit of progress; returns false once the crawl is done
+  /// or Finish() froze the result surface (then it does nothing).
   bool Advance();
 
   /// Runs to completion, saving a checkpoint every
   /// `config.checkpoint.every_units` units when configured, then finalizes.
   ServiceResult Run();
 
-  /// Finalizes (joins the estimation thread) and returns the result.
-  /// Idempotent. Callable before Done() for partial results.
+  /// Freezes the result surface and returns it. Idempotent. Callable
+  /// before Done() for partial results; the crawl cannot advance after it.
   ServiceResult Finish();
 
   /// Saves a checkpoint at the current unit boundary. For MTO crawls the
@@ -117,8 +122,8 @@ class CrawlService {
   /// The run report as JSON: scenario echo, result surface, run status,
   /// every obs::StatsSnapshot, live-introspection coordinates, and
   /// trace-drop accounting. Always valid — mid-run the result section
-  /// carries the current partial values (final_estimate excepted, which
-  /// settles at Finish()); "status.finished" says which you are reading.
+  /// carries the current partial values (final_estimate is the running
+  /// estimate so far); "status.finished" says which you are reading.
   JsonValue RunReport() const;
 
   /// The live introspection server's bound port, when the scenario enabled
@@ -133,6 +138,12 @@ class CrawlService {
  private:
   void EndBurnIn();
   void CollectionRound();
+  /// Appends one collected sample: feeds the running mean, extends the
+  /// result trace, and keeps the record (checkpoint payload).
+  void RecordSample(const ServiceCheckpoint::SampleRecord& record);
+  /// The running self-normalized mean; nullopt until a positively weighted
+  /// sample arrived.
+  std::optional<double> RunningEstimate() const;
   /// Captures a obs::StatsSnapshot tagged with the current unit count,
   /// publishing the pool ledgers and estimator-quality telemetry into the
   /// registry first (pull model), then feeds the watchdog, the live
@@ -146,8 +157,8 @@ class CrawlService {
   const WalkProgram* program_ = nullptr;
 
   // Observability (all null/empty when the scenario leaves it off).
-  // Declared before the crawl components: scheduler and pipeline threads
-  // record into these until their destructors join, so the registry and
+  // Declared before the crawl components: the scheduler's pool threads
+  // record into these until its destructor joins them, so the registry and
   // trace log must be destroyed last (reverse declaration order).
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::TraceLog> trace_log_;
@@ -159,7 +170,6 @@ class CrawlService {
   std::unique_ptr<BackendPool> pool_;
   std::unique_ptr<ConcurrentInterfaceCache> session_;
   std::unique_ptr<CrawlScheduler> scheduler_;
-  std::unique_ptr<EstimationPipeline> pipeline_;
 
   CrawlPhase phase_ = CrawlPhase::kBurnIn;
   bool burn_in_converged_ = false;
@@ -169,8 +179,10 @@ class CrawlService {
   size_t collection_rounds_done_ = 0;
   size_t collection_rounds_target_ = 0;
 
-  // Estimation-stream prefix (checkpoint payload / replay source).
-  std::vector<double> diagnostics_stream_;
+  // Estimation state and the stream prefix it was fed (checkpoint payload
+  // / replay source). The monitor's trace is the diagnostics stream.
+  GewekeMonitor monitor_;
+  RunningImportanceMean estimate_;
   std::vector<ServiceCheckpoint::SampleRecord> samples_stream_;
   std::vector<double> diag_scratch_;
 

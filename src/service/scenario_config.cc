@@ -132,10 +132,10 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
             {"dataset", "seed", "program", "mto", "attribute",
              "jump_probability", "walkers", "threads", "coalesce_frontier",
-             "fetch_mode", "fetch_threads", "pipeline_depth", "queue_capacity",
-             "geweke", "max_burn_in_rounds", "num_samples", "thinning",
-             "total_budget", "backends", "routing", "retry",
-             "fault_seed", "checkpoint", "observability"});
+             "fetch_mode", "fetch_threads", "pipeline_depth", "geweke",
+             "max_burn_in_rounds", "num_samples", "thinning", "total_budget",
+             "backends", "routing", "retry", "fault_seed", "checkpoint",
+             "observability"});
   ScenarioConfig config;
   if (root.Has("dataset")) config.dataset = root.At("dataset").AsString();
   if (root.Has("seed")) config.seed = root.At("seed").AsUint();
@@ -236,9 +236,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   }
   if (root.Has("pipeline_depth")) {
     config.pipeline_depth = root.At("pipeline_depth").AsUint();
-  }
-  if (root.Has("queue_capacity")) {
-    config.queue_capacity = root.At("queue_capacity").AsUint();
   }
   if (root.Has("geweke")) {
     const JsonValue& geweke = root.At("geweke");
@@ -364,9 +361,6 @@ void ScenarioConfig::Validate() const {
   if (num_samples == 0) {
     throw std::invalid_argument("ScenarioConfig: num_samples must be >= 1");
   }
-  if (queue_capacity == 0) {
-    throw std::invalid_argument("ScenarioConfig: queue_capacity must be >= 1");
-  }
   if (jump_probability < 0.0 || jump_probability > 1.0) {
     throw std::invalid_argument(
         "ScenarioConfig: jump_probability must be in [0, 1]");
@@ -479,11 +473,11 @@ uint64_t ScenarioConfig::Fingerprint() const {
     fnv.Mix(backend.quota_rate);
     fnv.Mix(backend.timeout_us);
   }
-  // num_threads, coalesce_frontier, fetch_mode, fetch_threads,
-  // pipeline_depth, and queue_capacity are deliberately excluded: results
-  // are bit-identical across them (the runtime contract), so a checkpoint
-  // from a 1-thread sync run may resume on 8 threads with pipelined async
-  // fetches, and vice versa. The observability block is excluded for the
+  // num_threads, coalesce_frontier, fetch_mode, fetch_threads, and
+  // pipeline_depth are deliberately excluded: results are bit-identical
+  // across them (the runtime contract), so a checkpoint from a 1-thread
+  // sync run may resume on 8 threads with pipelined async fetches, and
+  // vice versa. The observability block is excluded for the
   // same reason — telemetry is strictly passive (no RNG draws, no queries,
   // no session-state mutation), so a run may be resumed with observability
   // toggled either way. The routing strategy is

@@ -139,7 +139,6 @@ struct ScenarioConfig {
   /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
   /// and the knob is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;
-  size_t queue_capacity = 4096;
 
   double geweke_threshold = 0.1;
   size_t geweke_min_length = 200;

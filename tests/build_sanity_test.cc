@@ -28,8 +28,6 @@
 #include "src/net/social_network.h"
 #include "src/runtime/concurrent_interface_cache.h"
 #include "src/runtime/crawl_scheduler.h"
-#include "src/runtime/estimation_pipeline.h"
-#include "src/runtime/spsc_queue.h"
 #include "src/spectral/conductance.h"
 #include "src/spectral/eigen.h"
 #include "src/spectral/mixing.h"

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mto {
@@ -328,6 +331,70 @@ TEST(CrawlServiceTest, SrwEstimatesAverageDegreeReasonably) {
   for (size_t i = 1; i < result.trace.size(); ++i) {
     EXPECT_GE(result.trace[i].query_cost, result.trace[i - 1].query_cost);
   }
+}
+
+TEST(CrawlServiceTest, AdvanceAfterFinishIsRefused) {
+  // Finish() freezes the result surface: a later Advance() runs no unit and
+  // returns false at once, whether the crawl stopped in burn-in (a 1e-6
+  // threshold keeps it there) or in collection.
+  ScenarioConfig burn_in = FaultyScenario();
+  burn_in.geweke_threshold = 1e-6;
+  ScenarioConfig collect = FaultyScenario();
+  collect.max_burn_in_rounds = collect.geweke_check_every;  // one epoch
+  for (const auto& [config, phase] :
+       {std::pair{burn_in, CrawlPhase::kBurnIn},
+        std::pair{collect, CrawlPhase::kSampling}}) {
+    CrawlService service(config);
+    ASSERT_TRUE(service.Advance());
+    ASSERT_TRUE(service.Advance());
+    ASSERT_EQ(service.phase(), phase);
+    const ServiceResult frozen = service.Finish();
+    EXPECT_FALSE(service.Advance());
+    EXPECT_FALSE(service.Advance());
+    EXPECT_EQ(service.rounds(), frozen.total_rounds);
+    ExpectBitIdentical(frozen, service.Finish());
+  }
+}
+
+TEST(CrawlServiceTest, ResultReportAndGaugeShareOneEstimate) {
+  // One running estimate feeds the result, the mid-run report and the
+  // estimate.current gauge, so all three agree bit for bit.
+  ScenarioConfig config = FaultyScenario();
+  config.observability.metrics = true;
+  config.observability.snapshot_every_units = 1;
+  CrawlService service(config);
+  const auto gauge_of =
+      [](const obs::StatsSnapshot& snapshot) -> std::optional<double> {
+    for (const obs::MetricSnapshot& metric : snapshot.metrics) {
+      if (metric.name == "estimate.current") return metric.dgauge;
+    }
+    return std::nullopt;
+  };
+  size_t compared = 0;
+  while (service.Advance()) {
+    const JsonValue report = service.RunReport();
+    ASSERT_FALSE(report.At("status").At("finished").AsBool());
+    const double reported = report.At("result").At("final_estimate").AsDouble();
+    const std::optional<double> gauge = gauge_of(service.snapshots().back());
+    if (!gauge.has_value()) {
+      // No sample yet: nothing published, and the report reads 0.
+      EXPECT_EQ(report.At("result").At("num_samples").AsUint(), 0u);
+      EXPECT_EQ(reported, 0.0);
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(reported),
+              std::bit_cast<uint64_t>(*gauge));
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
+  const ServiceResult result = service.Finish();
+  ASSERT_NE(service.metrics(), nullptr);
+  EXPECT_EQ(
+      std::bit_cast<uint64_t>(service.metrics()->DoubleGaugeValue(
+          "estimate.current")),
+      std::bit_cast<uint64_t>(result.final_estimate));
+  EXPECT_EQ(std::bit_cast<uint64_t>(result.trace.back().estimate),
+            std::bit_cast<uint64_t>(result.final_estimate));
 }
 
 TEST(CrawlServiceTest, BudgetedScenarioStopsAtPoolCap) {

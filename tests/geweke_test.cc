@@ -111,6 +111,28 @@ TEST(GewekeMonitorTest, StickyOnceConverged) {
   EXPECT_TRUE(monitor.Converged());
 }
 
+TEST(GewekeMonitorTest, AddAllChecksAfterEveryValue) {
+  // Flat at the first check (n = min_length), drifting by the span's end:
+  // a monitor that checked once per span would miss the passing check.
+  constexpr size_t kMinLength = 20;
+  constexpr double kThreshold = 0.5;
+  std::vector<double> stream(kMinLength, 1.0);
+  for (int i = 1; i <= 80; ++i) stream.push_back(1.0 + i);
+  const std::span<const double> all(stream);
+  ASSERT_LE(GewekeZ(all.first(kMinLength)), kThreshold);
+  ASSERT_GT(GewekeZ(all), kThreshold);
+
+  GewekeMonitor whole(kThreshold, kMinLength, 50);
+  EXPECT_TRUE(whole.AddAll(all));
+  EXPECT_EQ(whole.length(), stream.size());
+
+  // Any split of the stream lands on the same verdict.
+  GewekeMonitor split(kThreshold, kMinLength, 50);
+  EXPECT_FALSE(split.AddAll(all.first(kMinLength - 1)));
+  EXPECT_TRUE(split.AddAll(all.subspan(kMinLength - 1)));
+  EXPECT_EQ(split.last_z(), whole.last_z());
+}
+
 TEST(GewekeMonitorTest, ResetClearsTrace) {
   GewekeMonitor monitor(0.5, 10, 1);
   for (int i = 0; i < 50; ++i) monitor.Add(1.0);

@@ -106,12 +106,15 @@ TEST(ScenarioConfigTest, RemovedSelectorKeysAreUnknown) {
   // "program" is the one program selector and "routing" the one routing
   // key; the retired aliases fail like any typo, with the unknown-key
   // error naming them.
-  // The block schedule is gone too: walker-major is the one order.
+  // The block schedule is gone too: walker-major is the one order. The
+  // estimator runs on the driver thread, so no queue between threads has
+  // a capacity to set.
   for (const char* doc : {R"({"sampler": "srw"})", R"({"strategy": "sharded"})",
                           R"({"sampler": "mto", "program": {"name": "mto"}})",
                           R"({"schedule": "walker"})",
                           R"({"schedule": "block"})",
-                          R"({"block": {"size": 4096}})"}) {
+                          R"({"block": {"size": 4096}})",
+                          R"({"queue_capacity": 16})"}) {
     try {
       ScenarioConfig::FromJsonText(doc);
       ADD_FAILURE() << "accepted " << doc;
@@ -255,7 +258,6 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   b = a;
   b.num_threads = 1;
   b.coalesce_frontier = false;
-  b.queue_capacity = 16;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // Same for the whole execution-shape family: fetch mode, fetch worker
   // count, and pipeline depth (pipeline_equivalence_test pins the bitwise
