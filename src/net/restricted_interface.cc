@@ -61,33 +61,29 @@ void RestrictedInterface::FetchMisses(std::span<const NodeId> misses) {
   }
 }
 
-bool RestrictedInterface::AdmitRequest(NodeId v, const char* what) {
+std::optional<QueryView> RestrictedInterface::QueryRef(NodeId v) {
   if (v >= network_->num_users()) {
-    throw std::invalid_argument(std::string(what) + ": unknown user id");
+    throw std::invalid_argument("QueryRef: unknown user id");
   }
   ++total_requests_;
   if (!cached_[v]) {
     const NodeId miss[1] = {v};
     FetchMisses(miss);
+    if (!cached_[v]) return std::nullopt;
   }
-  return cached_[v];
+  return MakeView(v);
 }
 
 std::optional<QueryResult> RestrictedInterface::Query(NodeId v) {
-  if (!AdmitRequest(v, "Query")) return std::nullopt;
+  if (!QueryRef(v)) return std::nullopt;
   return MakeResult(v);
-}
-
-std::optional<QueryView> RestrictedInterface::QueryRef(NodeId v) {
-  if (!AdmitRequest(v, "QueryRef")) return std::nullopt;
-  return MakeView(v);
 }
 
 std::vector<uint8_t> RestrictedInterface::FetchBatch(
     std::span<const NodeId> ids) {
   for (NodeId v : ids) {
     if (v >= network_->num_users()) {
-      throw std::invalid_argument("BatchQuery: unknown user id");
+      throw std::invalid_argument("FetchBatch: unknown user id");
     }
   }
   // Distinct cache-missing ids in first-appearance order; duplicates and
@@ -121,9 +117,8 @@ std::optional<uint32_t> RestrictedInterface::CachedDegree(NodeId v) const {
   return network_->graph().Degree(v);
 }
 
-std::optional<QueryResult> RestrictedInterface::RandomUser(Rng& rng) {
-  NodeId v = static_cast<NodeId>(rng.UniformInt(network_->num_users()));
-  return Query(v);
+std::optional<QueryView> RestrictedInterface::RandomUser(Rng& rng) {
+  return QueryRef(static_cast<NodeId>(rng.UniformInt(network_->num_users())));
 }
 
 void RestrictedInterface::SetMaxBatchSize(size_t max_batch_size) {

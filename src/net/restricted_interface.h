@@ -89,27 +89,32 @@ struct SessionSnapshot {
 /// third-party sampler.
 ///
 /// Models the paper's access rules precisely:
-///  * the only operation is `Query(v)` returning v's profile and neighbors;
+///  * the only operation is q(v), returning v's profile and neighbors;
 ///  * duplicate queries are answered from the sampler's local cache ("any
 ///    duplicate query can be answered from local cache without consuming
 ///    the query limit", Section II-B), so cost counts *unique* users only;
 ///  * the total number of users is public (footnote 4) via `num_users()`;
 ///  * `RandomUser()` models samplers that exploit a known id space (the
-///    Random Jump baseline, Section I-B); it costs one query.
-///  * an optional hard query budget makes `Query` report exhaustion, which
+///    Random Jump baseline, Section I-B);
+///  * an optional hard query budget makes q(v) report exhaustion, which
 ///    experiment harnesses use to cap runs.
 ///
-/// Beyond the single-user endpoint the interface models the bulk-fetch
-/// endpoints real OSN APIs expose (`users/lookup`-style): `BatchQuery`
-/// answers up to `max_batch_size()` users per backend round trip. An
-/// optional simulated per-request latency makes the round-trip economics
-/// measurable: every backend request (one cache-missing `Query`, or one
-/// chunk of a `BatchQuery`) sleeps `simulated_latency()`, while cache hits
-/// stay free. `BackendRequests()` counts the round trips paid.
+/// The read surface is two virtual calls. `QueryRef(v)` is the one read:
+/// q(v) with the response borrowed from the backing store. `FetchBatch(ids)`
+/// is the one bulk fetch: it models the bulk endpoints real OSN APIs expose
+/// (`users/lookup`-style), answering up to `max_batch_size()` users per
+/// backend round trip, and returns only whether each id is cached
+/// afterwards. `IsCached` is the one cache test. Everything else is a
+/// non-virtual helper built on those three: `Query` copies a `QueryRef`,
+/// `BatchQuery` materializes a `FetchBatch`, `PeekCached` and
+/// `CachedDegree` read the cache without a request, and `RandomUser` is a
+/// `QueryRef` of a uniform id.
 ///
-/// `QueryRef` is the allocation-free variant of `Query` for hot loops: it
-/// returns a view into the backing store instead of copying the neighbor
-/// vector. Walk steps use it; code that stores responses uses `Query`.
+/// An optional simulated per-request latency makes the round-trip
+/// economics measurable: every backend request (one cache-missing
+/// `QueryRef`, or one chunk of a `FetchBatch`) sleeps `simulated_latency()`,
+/// while cache hits stay free. `BackendRequests()` counts the round trips
+/// paid.
 ///
 /// Every cache-missing fetch — single or batched — funnels through the
 /// protected `FetchMisses` hook. The default implementation is the paper's
@@ -117,10 +122,10 @@ struct SessionSnapshot {
 /// multi-backend fault/retry/failover model without touching the cache or
 /// cost-accounting logic here.
 ///
-/// The query methods are virtual so schedulers can swap in a thread-safe
-/// session (runtime/ConcurrentInterfaceCache) without samplers noticing.
-/// This base class itself is single-threaded: concurrent calls on one
-/// instance are undefined behavior.
+/// The reads are virtual so schedulers can swap in a thread-safe session
+/// (runtime/ConcurrentInterfaceCache) without samplers noticing. This base
+/// class itself is single-threaded: concurrent calls on one instance are
+/// undefined behavior.
 class RestrictedInterface {
  public:
   /// Wraps a network. The interface does not own the network; keep it alive.
@@ -131,36 +136,35 @@ class RestrictedInterface {
   RestrictedInterface(const RestrictedInterface&) = delete;
   RestrictedInterface& operator=(const RestrictedInterface&) = delete;
 
-  /// Issues q(v). Counts one unit of query cost iff `v` was never queried
-  /// before. Returns std::nullopt when the query budget is exhausted and
-  /// `v` is not cached.
-  virtual std::optional<QueryResult> Query(NodeId v);
-
-  /// `Query` without the copy: identical semantics and cost accounting, but
-  /// the response borrows the interface's storage (valid until destruction).
-  /// The hot path for walk steps, which only ever read the response.
+  /// Issues q(v): the one virtual read. Counts one request, and one unit of
+  /// query cost iff `v` was never queried before. The response borrows the
+  /// interface's storage (valid until destruction). Returns std::nullopt
+  /// when the query budget is exhausted and `v` is not cached. Throws
+  /// std::invalid_argument on an unknown id.
   virtual std::optional<QueryView> QueryRef(NodeId v);
 
-  /// Bulk endpoint: issues q(v) for every id, in order. Unique-query cost
-  /// accounting is identical to calling `Query` per id; the difference is
-  /// latency, which is paid once per backend chunk of up to
-  /// `max_batch_size()` cache-missing ids instead of once per miss.
-  /// Per-id results mirror `Query` (std::nullopt once the budget runs out).
-  virtual std::vector<std::optional<QueryResult>> BatchQuery(
-      std::span<const NodeId> ids);
+  /// `QueryRef` plus a copy of the response, for code that stores it.
+  std::optional<QueryResult> Query(NodeId v);
 
-  /// `BatchQuery` without the responses: the same validation, request and
-  /// cost accounting and backend trips, but it returns, per id, 1 iff the
-  /// id is cached afterwards (0 = refused). BatchQuery wraps it. Not
-  /// virtual: it always acts on this session's own cache, so a concurrent
-  /// wrapper calls it on the session it wraps, under its ledger lock.
-  std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids);
+  /// Bulk endpoint, the one virtual bulk fetch: issues q(v) for every id,
+  /// in order, and returns, per id, 1 iff the id is cached afterwards
+  /// (0 = refused). Unique-query cost accounting is identical to calling
+  /// `QueryRef` per id; the difference is latency, which is paid once per
+  /// backend chunk of up to `max_batch_size()` cache-missing ids instead of
+  /// once per miss. Throws std::invalid_argument on an unknown id before it
+  /// counts any request.
+  virtual std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids);
+
+  /// `FetchBatch` plus a copy of each fetched response (std::nullopt once
+  /// the budget runs out).
+  std::vector<std::optional<QueryResult>> BatchQuery(
+      std::span<const NodeId> ids);
 
   /// Degree of a previously queried user, without issuing a query.
   /// Returns std::nullopt when `v` has never been queried (its degree is
   /// unknown to a third party) — this powers Theorem 5's N* set — or when
   /// `v` is not a valid user id.
-  virtual std::optional<uint32_t> CachedDegree(NodeId v) const;
+  std::optional<uint32_t> CachedDegree(NodeId v) const;
 
   /// True iff `v` is a valid user id that has been queried before (and is
   /// hence locally cached). Out-of-range ids are simply not cached.
@@ -174,7 +178,7 @@ class RestrictedInterface {
   /// not even total_requests — so samplers may use it for purely
   /// predictive peeks (Sampler::PeekNextTargets) without perturbing the
   /// checkpointable session state.
-  virtual std::optional<QueryView> PeekCached(NodeId v) const {
+  std::optional<QueryView> PeekCached(NodeId v) const {
     if (!IsCached(v)) return std::nullopt;
     return MakeView(v);
   }
@@ -182,9 +186,10 @@ class RestrictedInterface {
   /// Public total user count (paper footnote 4).
   NodeId num_users() const { return network_->num_users(); }
 
-  /// A uniformly random user id; consumes one unit of query cost (the
-  /// returned user is fetched and cached). Used by Random Jump.
-  std::optional<QueryResult> RandomUser(Rng& rng);
+  /// q(v) of a uniformly random user id v, through `QueryRef`: it costs
+  /// one unit of query cost iff v was not cached yet (a fresh v is fetched
+  /// and cached), like any other read. Used by Random Jump.
+  std::optional<QueryView> RandomUser(Rng& rng);
 
   /// Unique queries issued so far — the paper's query-cost measure.
   virtual uint64_t QueryCost() const { return unique_queries_; }
@@ -294,10 +299,6 @@ class RestrictedInterface {
   void SimulateRoundTrip();
 
  private:
-  /// Shared front half of Query/QueryRef: validates `v`, counts the
-  /// request, fetches on a miss. Returns true iff `v` is cached afterwards.
-  bool AdmitRequest(NodeId v, const char* what);
-
   const SocialNetwork* network_;
   std::vector<bool> cached_;
   uint64_t unique_queries_ = 0;

@@ -176,7 +176,7 @@ void ConcurrentInterfaceCache::PipelinedFetch(
   if (!PipelineActive()) {
     throw std::logic_error("PipelinedFetch: pipeline inactive");
   }
-  // Mirror BatchQuery's request accounting: one request per frontier slot.
+  // Mirror FetchBatch's request accounting: one request per frontier slot.
   total_requests_.Add(frontier.size());
   if (frontier.empty()) return;
   // Every frontier slot goes to the planner: all misses by construction.
@@ -303,12 +303,6 @@ bool ConcurrentInterfaceCache::IsCached(NodeId v) const {
   return v < num_users() && HitCached(v);
 }
 
-std::optional<uint32_t> ConcurrentInterfaceCache::CachedDegree(
-    NodeId v) const {
-  if (!IsCached(v)) return std::nullopt;
-  return network().graph().Degree(v);
-}
-
 uint64_t ConcurrentInterfaceCache::QueryCost() const {
   std::lock_guard lock(base_mutex_);
   return base_->QueryCost();
@@ -425,8 +419,8 @@ bool ConcurrentInterfaceCache::Admit(NodeId v) {
   }
   bool ok;
   {
-    // Ledger work only (cost, budget, backend-trip count): QueryRef has
-    // Query's accounting and builds no response.
+    // Ledger work only (cost, budget, backend-trip count): the wrapped
+    // session's QueryRef builds no response.
     std::lock_guard lock(base_mutex_);
     ok = base_->QueryRef(v).has_value();
   }
@@ -437,18 +431,6 @@ bool ConcurrentInterfaceCache::Admit(NodeId v) {
   }
   ResolveFetch(v, ok);
   return ok;
-}
-
-std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
-  if (v >= num_flags_) {
-    throw std::invalid_argument("Query: unknown user id");
-  }
-  total_requests_.Add();
-  // Lock-free hit path: the network is immutable, so a cached flag is
-  // enough to materialize the response locally. Hits are deliberately not
-  // counted here — PublishMetrics derives them from total_requests_.
-  if (!HitCached(v) && !Admit(v)) return std::nullopt;
-  return MakeResult(v);
 }
 
 std::optional<QueryView> ConcurrentInterfaceCache::QueryRefMiss(NodeId v) {
@@ -462,11 +444,11 @@ std::optional<QueryView> ConcurrentInterfaceCache::QueryRefMiss(NodeId v) {
   return MakeView(v);
 }
 
-std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
+std::vector<uint8_t> ConcurrentInterfaceCache::FetchBatch(
     std::span<const NodeId> ids) {
   for (NodeId v : ids) {
     if (v >= num_flags_) {
-      throw std::invalid_argument("BatchQuery: unknown user id");
+      throw std::invalid_argument("FetchBatch: unknown user id");
     }
   }
   total_requests_.Add(ids.size());
@@ -474,24 +456,19 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
   // Claim every distinct uncached id we can without blocking. Ids already
   // being fetched by another walker are admitted afterwards, once our own
   // claims are resolved — never while holding claims, so two overlapping
-  // BatchQuery calls cannot deadlock waiting on each other. `owned` maps
-  // each claimed or busy id to whether it ended up fetched; a repeat of it
-  // within this batch is answered from there.
+  // FetchBatch calls cannot deadlock waiting on each other. A repeat of an
+  // id this call claimed finds it in flight and lands in `busy` too.
   std::vector<NodeId> claimed;
   std::vector<NodeId> busy;
-  std::unordered_map<NodeId, bool> owned;
   for (NodeId v : ids) {
-    if (HitCached(v) || owned.count(v) != 0) continue;
+    if (HitCached(v)) continue;
     uint8_t state = kUncached;
     if (cached_flags_[v].compare_exchange_strong(state, kInFlight,
                                                  std::memory_order_acquire)) {
       claimed.push_back(v);
     } else if (state == kInFlight) {
       busy.push_back(v);
-    } else {
-      continue;  // cached since the first look
     }
-    owned.emplace(v, false);
   }
   // Claims are misses, busy ids count theirs in Admit, and every other
   // request was answered from cache (hits, derived at PublishMetrics time).
@@ -510,20 +487,23 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
     if (!ok) ok = SyncFetch(claimed);
     for (size_t i = 0; i < claimed.size(); ++i) {
       ResolveFetch(claimed[i], (*ok)[i] != 0);
-      owned[claimed[i]] = (*ok)[i] != 0;
     }
   }
-  // Waits out the other walker's fetch (or re-fetches on its refusal).
-  for (NodeId v : busy) owned[v] = Admit(v);
-
-  // Each response is materialized once, straight into its slot. Ids not in
-  // `owned` were cached when the claim loop saw them.
-  std::vector<std::optional<QueryResult>> results(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto it = owned.find(ids[i]);
-    if (it == owned.end() || it->second) results[i] = MakeResult(ids[i]);
+  if (!busy.empty()) {
+    // Admit each other walker's id once: it waits out that fetch, or
+    // re-fetches on its refusal. A repeat of our own claim is skipped, its
+    // outcome is already in its flag.
+    std::sort(claimed.begin(), claimed.end());
+    std::sort(busy.begin(), busy.end());
+    busy.erase(std::unique(busy.begin(), busy.end()), busy.end());
+    for (NodeId v : busy) {
+      if (!std::binary_search(claimed.begin(), claimed.end(), v)) Admit(v);
+    }
   }
-  return results;
+
+  std::vector<uint8_t> cached(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) cached[i] = HitCached(ids[i]);
+  return cached;
 }
 
 }  // namespace mto

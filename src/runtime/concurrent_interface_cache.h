@@ -50,11 +50,11 @@ namespace mto {
 ///    plan order, to that backend's FIFO lane (util/SerialChannels, lane
 ///    `b % lanes`), which then sleeps the backend's round trips. The caller
 ///    blocks until the lanes ran its tasks (a lag-0 marker join), so
-///    ledgers are current when Query/BatchQuery return. Round trips served by different lanes
-///    overlap in real time; a single miss pays its wire time on the
-///    calling walker's thread, overlapping other walkers' misses as the
-///    sync path does. Results stay bit-identical to kSync because sync and
-///    async share the plan (see DESIGN.md §9).
+///    ledgers are current when QueryRef/FetchBatch return. Round trips
+///    served by different lanes overlap in real time; a single miss pays
+///    its wire time on the calling walker's thread, overlapping other
+///    walkers' misses as the sync path does. Results stay bit-identical to
+///    kSync because sync and async share the plan (see DESIGN.md §9).
 ///  * **Pipelined rounds (`SetPipelineDepth(k)`, k >= 1).** The async path
 ///    still joins every frontier before the round continues, so round R+1
 ///    waits on round R's slowest backend. The pipelined engine drops that
@@ -112,7 +112,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     return pipeline_depth_ > 0 && channels_ != nullptr;
   }
 
-  /// Pipelined replacement for the coordinator's frontier BatchQuery
+  /// Pipelined replacement for the coordinator's frontier FetchBatch
   /// (CrawlScheduler only): plans the whole frontier under the ledger lock
   /// — consuming matching prefetch tickets — marks planned-fetched nodes
   /// cached, posts each backend's ledger/latency task to its lane, and
@@ -137,12 +137,11 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// only. No-op when no lanes exist.
   void DrainPipeline();
 
-  std::optional<QueryResult> Query(NodeId v) override;
   /// Allocation-free read path: cache hits return a borrowed view without
   /// taking any lock; misses (and unknown ids, which throw
-  /// std::invalid_argument) fall back to the full Query machinery. Inline
-  /// so the hit — a bounds check, one acquire load, a single-writer
-  /// request-slot bump and the view — compiles into the caller.
+  /// std::invalid_argument) go through Admit. Inline so the hit — a bounds
+  /// check, one acquire load, a single-writer request-slot bump and the
+  /// view — compiles into the caller.
   std::optional<QueryView> QueryRef(NodeId v) override {
     if (v < num_flags_ && HitCached(v)) [[likely]] {
       total_requests_.Add();
@@ -150,12 +149,12 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     }
     return QueryRefMiss(v);
   }
-  std::vector<std::optional<QueryResult>> BatchQuery(
-      std::span<const NodeId> ids) override;
-  /// Hidden: the inherited FetchBatch would act on this wrapper's own,
-  /// unused, base-class cache. BatchQuery is the thread-safe bulk call.
-  std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids) = delete;
-  std::optional<uint32_t> CachedDegree(NodeId v) const override;
+  /// Thread-safe bulk fetch: claims every distinct uncached id without
+  /// blocking, fetches the claims in one group (sync, or through the lanes
+  /// when async), then admits ids another walker had in flight. Counts
+  /// every id as one request and returns, per id, 1 iff it is cached
+  /// afterwards.
+  std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids) override;
   bool IsCached(NodeId v) const override;
 
   uint64_t QueryCost() const override;
@@ -211,12 +210,11 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Out-of-line rest of QueryRef: the unknown-id throw and the miss path.
   std::optional<QueryView> QueryRefMiss(NodeId v);
 
-  /// The one fetch core of Query, QueryRef's miss path and BatchQuery's
+  /// The single-id fetch core of QueryRef's miss path and FetchBatch's
   /// busy ids: claims `v` (waiting out another walker's fetch of it),
   /// fetches it through the wrapped session's QueryRef under the ledger
   /// lock, pays the round trip outside it and resolves the claim. Returns
-  /// true iff `v` is cached afterwards. The caller counts the request and
-  /// materializes the response.
+  /// true iff `v` is cached afterwards. The caller counts the request.
   bool Admit(NodeId v);
 
   /// Claims the fetch of `v`, waiting on its flag while another walker's

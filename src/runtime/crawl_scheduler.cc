@@ -133,8 +133,8 @@ void CrawlScheduler::RunFreeRounds(size_t rounds,
 void CrawlScheduler::FetchFrontier(bool pipelined) {
   // Fetch the deduplicated uncached frontier in bulk, in walker order, on
   // the coordinator between regions: no walker runs, so the IsCached
-  // filter and BatchQuery's request count never depend on timing. The
-  // pipelined engine plans it exactly like BatchQuery would — same
+  // filter and FetchBatch's request count never depend on timing. The
+  // pipelined engine plans it exactly like FetchBatch would — same
   // thread, same order, identical state mutations — but returns as soon
   // as the outcomes are *planned* (cache marked, costs charged), leaving
   // the per-backend latency in flight on the lanes while the commits run.
@@ -156,7 +156,7 @@ void CrawlScheduler::FetchFrontier(bool pipelined) {
   if (pipelined) {
     cache_->PipelinedFetch(frontier_);
   } else {
-    interface_->BatchQuery(frontier_);
+    interface_->FetchBatch(frontier_);
   }
 }
 

@@ -172,7 +172,7 @@ class CrawlScheduler {
   /// peeks (pipelined) and proposes round r + 1 (none after the last).
   void RunCoalescedRounds(size_t rounds, std::vector<double>* diagnostics);
   /// Coordinator step between regions: dedupes the proposals' uncached
-  /// targets in walker order and fetches them through BatchQuery, or plans
+  /// targets in walker order and fetches them through FetchBatch, or plans
   /// them without a join under a live pipeline (DESIGN.md §10).
   void FetchFrontier(bool pipelined);
 

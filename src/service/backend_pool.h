@@ -102,7 +102,7 @@ const char* BackendSelectionName(BackendSelection selection);
 /// the base class; this class only overrides the `FetchMisses` hook. Every
 /// unique fetch costs one request on whichever backend ends up serving it —
 /// per-user endpoints under per-key quotas, the restricted-access regime
-/// the paper models. (Chunk amortization of `BatchQuery` is a property of
+/// the paper models. (Chunk amortization of `FetchBatch` is a property of
 /// the single-backend transport; a bulk endpoint with keyed quotas is
 /// modeled here by scaling a backend's rate/budget.)
 ///

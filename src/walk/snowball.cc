@@ -13,7 +13,7 @@ SnowballCrawler::SnowballCrawler(RestrictedInterface& interface, Rng& rng,
 NodeId SnowballCrawler::Step() {
   if (frontier_.empty()) return current();
   NodeId next = frontier_.front();
-  auto r = interface().Query(next);
+  auto r = interface().QueryRef(next);
   if (!r) return current();  // budget exhausted; retry later
   frontier_.pop_front();
   ++visited_;
@@ -28,7 +28,7 @@ NodeId SnowballCrawler::Step() {
 }
 
 double SnowballCrawler::CurrentDegreeForDiagnostic() {
-  auto r = interface().Query(current());
+  auto r = interface().QueryRef(current());
   return r ? static_cast<double>(r->degree()) : 0.0;
 }
 

@@ -298,6 +298,51 @@ TEST(ConcurrentInterfaceCacheTest, BatchQueryBudgetRunsOutMidChunk) {
   EXPECT_EQ(cache.QueryCost(), 2u);
 }
 
+TEST(ConcurrentInterfaceCacheTest, FetchBatchMatchesBase) {
+  // One id sequence through a plain session and through the cache over a
+  // second plain session: repeats within a batch, ids cached by an earlier
+  // batch or a single read, and a budget that runs out mid-chunk.
+  SocialNetwork net(Cycle(16));
+  RestrictedInterface plain(net);
+  RestrictedInterface base(net);
+  plain.SetMaxBatchSize(4);
+  base.SetMaxBatchSize(4);
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+  plain.SetBudget(7);
+  cache.SetBudget(7);
+
+  const std::vector<std::vector<NodeId>> batches = {
+      {3, 3, 1, 3},           // repeats within a batch
+      {1, 4, 4, 9},           // a cached id beside new ones
+      {},                     // empty batch
+      {2, 5, 6, 7, 8, 2, 10},  // the budget runs out mid-chunk
+      {10, 5, 11, 10},        // refused ids asked again, repeated
+  };
+  for (size_t b = 0; b < batches.size(); ++b) {
+    if (b == 1) {
+      ASSERT_TRUE(plain.QueryRef(0).has_value());
+      ASSERT_TRUE(cache.QueryRef(0).has_value());
+    }
+    EXPECT_EQ(cache.FetchBatch(batches[b]), plain.FetchBatch(batches[b]))
+        << "batch " << b;
+    EXPECT_EQ(cache.QueryCost(), plain.QueryCost()) << "batch " << b;
+    EXPECT_EQ(cache.TotalRequests(), plain.TotalRequests()) << "batch " << b;
+    EXPECT_EQ(cache.BackendRequests(), plain.BackendRequests())
+        << "batch " << b;
+  }
+  EXPECT_EQ(cache.QueryCost(), 7u);  // the budget did bind
+  // One miss per distinct uncached id a call saw: 2 + 1 + 2 + 0 + 6 + 2.
+  // A repeat of a refused id within a batch is not fetched again.
+  EXPECT_EQ(registry.CounterValue("cache.misses"), 13u);
+  cache.PublishMetrics();
+  ASSERT_GE(registry.GaugeValue("cache.hits"), 0);
+  const auto hits = static_cast<uint64_t>(registry.GaugeValue("cache.hits"));
+  EXPECT_EQ(hits + registry.CounterValue("cache.misses"),
+            cache.TotalRequests());
+}
+
 TEST(ConcurrentInterfaceCacheTest, QueryRefHitPathIsLockFreeAndCounted) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface base(net);

@@ -73,6 +73,30 @@ TEST(SnowballTest, BfsOrderFromSeed) {
   }
 }
 
+TEST(SnowballTest, SameCrawlOverTheConcurrentCache) {
+  // The crawler reads through QueryRef, so a concurrent session changes
+  // neither the visit order nor the cost ledger.
+  SocialNetwork net(MakeDataset("epinions_small"));
+  RestrictedInterface plain(net);
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  plain.SetBudget(300);
+  cache.SetBudget(300);
+  Rng plain_rng(8);
+  Rng cache_rng(8);
+  SnowballCrawler over_plain(plain, plain_rng, 0);
+  SnowballCrawler over_cache(cache, cache_rng, 0);
+  for (int i = 0; i < 400; ++i) {  // runs past the budget
+    ASSERT_EQ(over_cache.Step(), over_plain.Step()) << "step " << i;
+    ASSERT_EQ(over_cache.CurrentDegreeForDiagnostic(),
+              over_plain.CurrentDegreeForDiagnostic())
+        << "step " << i;
+  }
+  EXPECT_EQ(over_cache.Visited(), over_plain.Visited());
+  EXPECT_EQ(cache.QueryCost(), plain.QueryCost());
+  EXPECT_EQ(cache.TotalRequests(), plain.TotalRequests());
+}
+
 TEST(SnowballTest, EarlySamplesAreDegreeBiasedNearSeed) {
   // The textbook snowball bias: the first crawled nodes around a hub seed
   // over-represent the hub's dense neighborhood relative to the population.

@@ -64,6 +64,16 @@ TEST_F(RestrictedInterfaceTest, RandomUserCostsOneQuery) {
   ASSERT_TRUE(r.has_value());
   EXPECT_LT(r->user, net_.num_users());
   EXPECT_EQ(iface_.QueryCost(), 1u);
+  // A draw of an already-cached user costs nothing: query the id a copy of
+  // the generator will draw next, then draw it.
+  Rng copy = rng;
+  const auto next = static_cast<NodeId>(copy.UniformInt(net_.num_users()));
+  ASSERT_TRUE(iface_.QueryRef(next).has_value());
+  const uint64_t cost = iface_.QueryCost();
+  auto again = iface_.RandomUser(rng);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->user, next);
+  EXPECT_EQ(iface_.QueryCost(), cost);
 }
 
 TEST_F(RestrictedInterfaceTest, ResetClearsState) {
