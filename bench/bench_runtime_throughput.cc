@@ -244,16 +244,15 @@ Row RunScheduler(const SocialNetwork& net, size_t walkers, size_t threads,
 }
 
 /// Multi-backend pool behind the concurrent cache: `num_backends` perfect
-/// keys under kSharded selection, every round trip costing `latency` of
-/// real wall time. The sync mode serializes the coalesced frontier's trips
-/// under the ledger lock; the async mode plans them there but pays each
-/// backend's trips on its own lane, so distinct backends overlap — the
-/// effect this section measures.
+/// keys, every round trip costing `latency` of real wall time, coalesced
+/// frontiers. Depth 0 serializes the frontier's trips under the ledger
+/// lock; depth k >= 1 plans them there but pays each backend's trips on its
+/// own lane, up to k rounds behind the crawl, so distinct backends overlap
+/// — the effect this section measures.
 Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
                     size_t rounds, std::chrono::microseconds latency,
-                    size_t batch, size_t num_backends, FetchMode fetch_mode,
-                    BackendSelection selection = BackendSelection::kSharded,
-                    size_t pipeline_depth = 0) {
+                    size_t num_backends, BackendSelection selection,
+                    size_t pipeline_depth) {
   std::vector<BackendConfig> backends(num_backends);
   BackendPool pool(net, std::move(backends), RetryPolicy{}, selection, kSeed);
   pool.SetSimulatedLatency(latency);
@@ -261,8 +260,7 @@ Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
   CrawlConfig config;
   config.num_walkers = walkers;
   config.num_threads = threads;
-  config.coalesce_frontier = batch > 0;
-  config.fetch_mode = fetch_mode;
+  config.coalesce_frontier = true;
   config.fetch_threads = num_backends;
   config.pipeline_depth = pipeline_depth;
   CrawlScheduler scheduler(session, config, kSeed, MakeWalker);
@@ -271,16 +269,15 @@ Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
   const auto end = std::chrono::steady_clock::now();
 
   Row row;
-  row.section = "multi-backend";
-  row.mode = std::string(pipeline_depth > 0 ? "pipelined"
-                                            : FetchModeName(fetch_mode)) +
-             "-" + std::to_string(num_backends) + "b" +
+  row.section = "pipelined";
+  row.mode = std::string(pipeline_depth > 0 ? "pipelined" : "sync") + "-" +
+             std::to_string(num_backends) + "b" +
              (selection == BackendSelection::kRendezvous ? "-rdv" : "");
   row.walkers = walkers;
   row.threads = threads;
-  // `batch` only toggles frontier coalescing here: the pool charges one
-  // round trip per attempt regardless of max_batch_size (no bulk-chunk
-  // amortization across keyed quotas), so report the effective size.
+  // The pool charges one round trip per attempt regardless of
+  // max_batch_size (no bulk-chunk amortization across keyed quotas), so
+  // report the effective batch size.
   row.batch = 1;
   row.rounds = rounds;
   row.wall_ms =
@@ -404,43 +401,21 @@ int main(int argc, char** argv) {
   PrintSection("MTO speculative stepping (200us per backend round trip)",
                mto_rows, mto_rows.front());
 
-  // --- Multi-backend: async fetch overlap. Coalesced frontier over
-  // N perfect keys (sharded selection) at 200us per round trip; sync
-  // serializes trips, async overlaps the per-backend lanes, so the
-  // async-4b rows should approach 4x the sync-4b ones while staying
-  // bit-identical in positions and cost.
-  const size_t mb_rounds = std::max<size_t>(1, rounds / 40);
-  std::vector<Row> mb_rows;
-  for (size_t threads : {1u, 4u}) {
-    for (size_t nbackends : {1u, 4u}) {
-      for (FetchMode mode : {FetchMode::kSync, FetchMode::kAsync}) {
-        mb_rows.push_back(RunMultiBackend(net, walkers, threads, mb_rounds,
-                                          kRtt, 64, nbackends, mode));
-      }
-    }
-  }
-  PrintSection("Multi-backend fetch overlap (200us per backend round trip)",
-               mb_rows, mb_rows.front());
-
-  // --- Pipelined rounds: the frontier-pipelining tentpole. Async still
-  // joins every frontier, paying each round's slowest backend; depth-2
+  // --- Pipelined rounds: the lane engine. Sync pays each coalesced
+  // frontier's trips back to back under the ledger lock; depth-2
   // pipelining keeps that latency in flight on per-backend lanes and
   // prefetches speculative peeks, so steady-state throughput is bounded by
-  // aggregate backend bandwidth, not per-round max latency. Rendezvous
-  // routing spreads the frontier where `v % N` aliases. Positions and cost
-  // stay bit-identical to sync across every engine and routing policy.
+  // aggregate backend bandwidth, not per-round latency. Rendezvous routing
+  // spreads the frontier where `v % N` aliases. Positions and cost stay
+  // bit-identical to sync across both engines and routing policies.
   const size_t pl_rounds = std::max<size_t>(1, rounds / 40);
   std::vector<Row> pl_rows;
   for (size_t nbackends : {1u, 4u}) {
     for (BackendSelection selection :
          {BackendSelection::kSharded, BackendSelection::kRendezvous}) {
-      for (int engine = 0; engine < 3; ++engine) {
-        Row row = RunMultiBackend(
-            net, walkers, 4, pl_rounds, kRtt, 64, nbackends,
-            engine == 1 ? FetchMode::kAsync : FetchMode::kSync, selection,
-            engine == 2 ? 2 : 0);
-        row.section = "pipelined";
-        pl_rows.push_back(row);
+      for (size_t depth : {0u, 2u}) {
+        pl_rows.push_back(RunMultiBackend(net, walkers, 4, pl_rounds, kRtt,
+                                          nbackends, selection, depth));
       }
     }
   }
@@ -501,8 +476,8 @@ int main(int argc, char** argv) {
 
   // Invariant check across every configuration of a section: walkers only
   // go faster, they never walk elsewhere or pay a different query cost.
-  for (const auto* rows : {&cpu_rows, &lat_rows, &mto_rows, &mb_rows,
-                           &pl_rows, &obs_rows}) {
+  for (const auto* rows :
+       {&cpu_rows, &lat_rows, &mto_rows, &pl_rows, &obs_rows}) {
     for (const Row& r : *rows) {
       const Row& base = rows->front();
       if (r.positions != base.positions ||
@@ -520,7 +495,6 @@ int main(int argc, char** argv) {
   all.insert(all.end(), cpu_rows.begin(), cpu_rows.end());
   all.insert(all.end(), lat_rows.begin(), lat_rows.end());
   all.insert(all.end(), mto_rows.begin(), mto_rows.end());
-  all.insert(all.end(), mb_rows.begin(), mb_rows.end());
   all.insert(all.end(), pl_rows.begin(), pl_rows.end());
   all.insert(all.end(), prog_rows.begin(), prog_rows.end());
   all.insert(all.end(), obs_rows.begin(), obs_rows.end());

@@ -173,10 +173,12 @@ void MtoSampler::PeekNextTargets(size_t width, std::vector<NodeId>& out) {
   // draw 0 is exactly the propose's speculation; draws 1..k-1 are what a
   // commit-time re-pick (removal, lazy re-draw) reaches first, modulo the
   // classification draws interleaved between them — good enough for a
-  // wall-clock-only hint.
+  // wall-clock-only hint. Once min(width, deg) distinct picks are in, no
+  // further draw can add one: stop there rather than drawing out `width`.
   const std::array<uint64_t, 4> saved = rng().SaveState();
   const size_t before = out.size();
-  for (size_t i = 0; i < width && out.size() - before < width; ++i) {
+  const size_t wanted = std::min<size_t>(width, deg);
+  for (size_t i = 0; i < width && out.size() - before < wanted; ++i) {
     const NodeId v = overlay_.Neighbors(
         current())[static_cast<size_t>(rng().UniformInt(deg))];
     if (std::find(out.begin() + static_cast<std::ptrdiff_t>(before),

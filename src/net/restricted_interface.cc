@@ -6,14 +6,6 @@
 
 namespace mto {
 
-const char* FetchModeName(FetchMode mode) {
-  switch (mode) {
-    case FetchMode::kSync: return "sync";
-    case FetchMode::kAsync: return "async";
-  }
-  return "?";
-}
-
 RestrictedInterface::RestrictedInterface(const SocialNetwork& network)
     : network_(&network), cached_(network.num_users(), false) {}
 

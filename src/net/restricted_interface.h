@@ -11,20 +11,6 @@
 
 namespace mto {
 
-/// How a concurrent wrapper executes cache-missing fetches (see
-/// runtime/ConcurrentInterfaceCache and DESIGN.md §9):
-///  * kSync — every miss group runs to completion on the calling thread,
-///    under the wrapper's ledger lock (the pre-async execution model).
-///  * kAsync — miss groups are planned synchronously (routing, budget,
-///    cache, cost — the deterministic part) and their per-backend ledger
-///    and latency work runs on per-backend FIFO lanes, joined before the
-///    call returns, so misses served by different backends overlap in real
-///    time. Results are bit-identical to kSync by construction (the plan is
-///    shared; see PlanFetchMisses).
-enum class FetchMode { kSync, kAsync };
-
-const char* FetchModeName(FetchMode mode);
-
 /// A planned-but-not-applied fetch of a miss group, produced by
 /// `PlanFetchMisses`. The plan itself already ran on the calling thread:
 /// per-node outcomes are decided, successful nodes are cached, and every
@@ -223,7 +209,7 @@ class RestrictedInterface {
   /// outcomes, cache marking, and unique-cost accounting all happen before
   /// this returns, exactly as the sync path would decide them — and defers
   /// only per-backend ledger work into the returned tasks. Returns
-  /// std::nullopt when the interface has no async-capable backend model
+  /// std::nullopt when the interface has no two-phase backend model
   /// (the base class: one perfect backend with nothing to overlap); callers
   /// then fall back to the sync path.
   ///

@@ -23,19 +23,10 @@ ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
   base.SetSimulatedLatency(std::chrono::microseconds(0));
 }
 
-void ConcurrentInterfaceCache::SetFetchMode(FetchMode mode, size_t lanes) {
-  fetch_mode_ = mode;
-  ConfigureLanes(lanes);
-}
-
 void ConcurrentInterfaceCache::SetPipelineDepth(size_t depth, size_t lanes) {
-  pipeline_depth_ = depth;
-  ConfigureLanes(lanes);
-}
-
-void ConcurrentInterfaceCache::ConfigureLanes(size_t lanes) {
   DrainPipeline();
-  if (fetch_mode_ != FetchMode::kAsync && pipeline_depth_ == 0) {
+  pipeline_depth_ = depth;
+  if (depth == 0) {
     channels_.reset();
     return;
   }
@@ -83,9 +74,8 @@ void ConcurrentInterfaceCache::CancelTicket(PrefetchTicket& ticket) {
 }
 
 std::optional<std::vector<uint8_t>> ConcurrentInterfaceCache::LaneFetch(
-    std::span<const NodeId> misses, bool inline_wire, bool join) {
+    std::span<const NodeId> misses, bool inline_wire) {
   std::optional<DeferredFetch> deferred;
-  SerialChannels::Marker posted;
   const auto rtt = simulated_latency();
   uint64_t wire_trips = 0;
   {
@@ -144,13 +134,10 @@ std::optional<std::vector<uint8_t>> ConcurrentInterfaceCache::LaneFetch(
                         }
                       });
     }
-    if (join) posted = channels_->Mark();
   }
   if (rtt.count() > 0 && wire_trips > 0) {
     std::this_thread::sleep_for(rtt * static_cast<int64_t>(wire_trips));
   }
-  // The lag-0 join: everything posted up to this fetch's own tasks has run.
-  if (join) channels_->WaitUntil(posted);
   return std::move(deferred->fetched);
 }
 
@@ -183,8 +170,7 @@ void ConcurrentInterfaceCache::PipelinedFetch(
   ObsAdd(metrics_.misses, frontier.size());
   ObsRecord(metrics_.miss_batch, frontier.size());
 
-  const auto fetched =
-      LaneFetch(frontier, /*inline_wire=*/false, /*join=*/false);
+  const auto fetched = LaneFetch(frontier, /*inline_wire=*/false);
   if (!fetched) {
     // No plannable backend model: sync-identical inline fallback (the
     // frontier is distinct and was uncached when the coordinator built it).
@@ -233,13 +219,17 @@ void ConcurrentInterfaceCache::PostPrefetchHints(
     ObsAdd(metrics_.prefetch_stale, tickets_.size());
     for (auto& entry : tickets_) CancelTicket(*entry.second);
     tickets_.clear();
+    // First appearance wins, as in the scheduler's frontier dedupe: the
+    // ticket set and order do not depend on how often a node is predicted.
+    if (hinted_.size() != num_flags_) hinted_.assign(num_flags_, false);
     std::vector<NodeId> fresh;
     for (NodeId v : predicted) {
-      if (v >= num_users()) continue;  // hints are best-effort, not errors
-      if (HitCached(v)) continue;
-      if (std::find(fresh.begin(), fresh.end(), v) != fresh.end()) continue;
+      if (v >= num_flags_) continue;  // hints are best-effort, not errors
+      if (HitCached(v) || hinted_[v]) continue;
+      hinted_[v] = true;
       fresh.push_back(v);
     }
+    for (NodeId v : fresh) hinted_[v] = false;
     if (fresh.empty()) return;
     const auto plan = base_->PlanPrefetch(fresh);
     if (!plan) return;  // no pure routing preview: skip prefetching
@@ -403,15 +393,14 @@ void ConcurrentInterfaceCache::ResolveFetch(NodeId v, bool fetched) {
 bool ConcurrentInterfaceCache::Admit(NodeId v) {
   if (!ClaimFetch(v)) return true;  // cached while we waited (a hit, derived)
   ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
-  if (fetch_mode_ == FetchMode::kAsync || PipelineActive()) {
-    // Through the lanes. A single miss pays its wire time on this thread,
-    // as the sync path would: concurrent walkers' misses overlap, and a
-    // pipelined demand miss never waits out the lanes' speculative
-    // backlog. Async joins its ledger task, so the ledgers are current on
-    // return; the pipeline leaves it to the lag-k join.
+  if (PipelineActive()) {
+    // A commit-time miss inside a pipelined round goes through the lanes so
+    // its ledger task keeps plan order behind the frontier's. It pays its
+    // wire time on this thread, as the sync path would: concurrent walkers'
+    // misses overlap, and a demand miss never waits out the lanes'
+    // speculative backlog. The lag-k join waits its ledger task out.
     const NodeId miss[1] = {v};
-    if (auto fetched = LaneFetch(miss, /*inline_wire=*/true,
-                                 /*join=*/!PipelineActive())) {
+    if (auto fetched = LaneFetch(miss, /*inline_wire=*/true)) {
       const bool ok = (*fetched)[0] != 0;
       ResolveFetch(v, ok);
       return ok;
@@ -476,17 +465,9 @@ std::vector<uint8_t> ConcurrentInterfaceCache::FetchBatch(
   ObsRecord(metrics_.miss_batch, claimed.size());
 
   if (!claimed.empty()) {
-    // Async: one task per backend touched, each applying its own ledger's
-    // ops and sleeping its round trips on that backend's lane, so trips
-    // served by different lanes overlap in real time and this join costs
-    // the max over lanes instead of the sum (DESIGN.md §9).
-    std::optional<std::vector<uint8_t>> ok;
-    if (fetch_mode_ == FetchMode::kAsync) {
-      ok = LaneFetch(claimed, /*inline_wire=*/false, /*join=*/true);
-    }
-    if (!ok) ok = SyncFetch(claimed);
+    const std::vector<uint8_t> ok = SyncFetch(claimed);
     for (size_t i = 0; i < claimed.size(); ++i) {
-      ResolveFetch(claimed[i], (*ok)[i] != 0);
+      ResolveFetch(claimed[i], ok[i] != 0);
     }
   }
   if (!busy.empty()) {

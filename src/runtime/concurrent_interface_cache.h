@@ -43,56 +43,39 @@ namespace mto {
 ///    for the ledger work: responses are materialized and simulated latency
 ///    is paid *outside* it, so concurrent misses to different nodes overlap
 ///    their round trips — the effect the throughput bench measures.
-///  * **Async fetch overlap (`SetFetchMode(kAsync)`).** When the wrapped
-///    session supports two-phase fetches (a service/BackendPool), a miss
-///    group is only *planned* under the ledger lock — routing, budget,
-///    outcomes, cost — and each backend's ledger/latency task is posted, in
-///    plan order, to that backend's FIFO lane (util/SerialChannels, lane
-///    `b % lanes`), which then sleeps the backend's round trips. The caller
-///    blocks until the lanes ran its tasks (a lag-0 marker join), so
-///    ledgers are current when QueryRef/FetchBatch return. Round trips
-///    served by different lanes overlap in real time; a single miss pays
-///    its wire time on the calling walker's thread, overlapping other
-///    walkers' misses as the sync path does. Results stay bit-identical to
-///    kSync because sync and async share the plan (see DESIGN.md §9).
-///  * **Pipelined rounds (`SetPipelineDepth(k)`, k >= 1).** The async path
-///    still joins every frontier before the round continues, so round R+1
-///    waits on round R's slowest backend. The pipelined engine drops that
-///    join: `PipelinedFetch` plans the frontier exactly like sync/async
-///    (same coordinator thread, same order, identical state mutations) and
-///    posts the same per-backend tasks onto the same lanes, but returns
-///    immediately — commits read the planned outcomes from the cache while
-///    the round trips are still "in flight" as wall time on the lanes. A
-///    lag-k join bounds run-ahead: before round R's tasks are posted, round
-///    R-k must have drained. `PostPrefetchHints` turns sampler peeks into
-///    wall-clock-only prefetch *tickets* — a ticket occupies its predicted
-///    backend's lane for one RTT and lets the real fetch's apply task
-///    discount one prepaid trip; a wrong or stale prediction is cancelled.
-///    Tickets never touch ledger, cache, or cost state, so
-///    samples/trace/estimate/ledgers stay bitwise equal to sync mode by
-///    construction (DESIGN.md §10).
+///  * **Pipelined rounds (`SetPipelineDepth(k)`, k >= 1), the one lane
+///    engine.** When the wrapped session supports two-phase fetches (a
+///    service/BackendPool), `PipelinedFetch` only *plans* a coalesced
+///    frontier under the ledger lock — routing, budget, outcomes, cost, in
+///    the order the sync path would run them (DESIGN.md §9) — and posts each
+///    backend's ledger/latency task, in plan order, to that backend's FIFO
+///    lane (util/SerialChannels, lane `b % lanes`), which then sleeps the
+///    backend's round trips. It returns without joining: commits read the
+///    planned outcomes from the cache while the round trips are still "in
+///    flight" as wall time on the lanes. A lag-k join bounds run-ahead:
+///    before round R's tasks are posted, round R-k must have drained. A
+///    commit-time miss is planned the same way but pays its wire time on
+///    the calling walker's thread. `PostPrefetchHints` turns sampler peeks
+///    into wall-clock-only prefetch *tickets* — a ticket occupies its
+///    predicted backend's lane for one RTT and lets the real fetch's apply
+///    task discount one prepaid trip; a wrong or stale prediction is
+///    cancelled. Tickets never touch ledger, cache, or cost state, so
+///    samples/trace/estimate/ledgers stay bitwise equal to depth 0 by
+///    construction (DESIGN.md §10). Lanes exist only while the depth is
+///    non-zero, and CrawlScheduler allows that only under coalesced
+///    rounds: every other miss takes the sync path.
 ///
 /// The wrapper takes over latency simulation from the wrapped session (the
 /// session's own latency is zeroed at construction) so a round trip is
 /// never paid twice.
 ///
-/// `Reset()` and `SetFetchMode()` are *not* thread-safe: call them only
+/// `Reset()` and `SetPipelineDepth()` are *not* thread-safe: call them only
 /// while no walker is running.
 class ConcurrentInterfaceCache final : public RestrictedInterface {
  public:
   /// Wraps `base`, which must outlive this object. Cache state already in
   /// `base` is honored (its flags are imported).
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
-
-  /// Selects the miss-fetch execution mode. kAsync runs miss fetches on
-  /// `lanes` per-backend FIFO lanes (0 falls back to kMaxFetchThreads; the
-  /// cache cannot see the backend fleet, so callers that can — CrawlService
-  /// sizes one lane per backend — should pass the real count; backend b
-  /// rides lane `b % lanes`). kAsync silently behaves like kSync when the
-  /// wrapped session has no async-capable backend model. Call between
-  /// rounds only.
-  void SetFetchMode(FetchMode mode, size_t lanes = 0);
-  FetchMode fetch_mode() const { return fetch_mode_; }
 
   /// Upper bound on lanes (backend channels worth of overlap; more would
   /// only contend on the ledger locks).
@@ -101,16 +84,18 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Enables (depth >= 1) or disables (depth == 0) the pipelined engine:
   /// `depth` rounds of deferred per-backend work may be in flight behind
   /// the crawl (the lag-k join), and samplers are asked for up to `depth`
-  /// prefetch candidates per walker. `lanes` sizes the lane set exactly as
-  /// in SetFetchMode (async and pipelined share one lane set). Drains any
-  /// active pipeline first. Call between rounds only.
+  /// prefetch candidates per walker. Depth >= 1 builds `lanes` per-backend
+  /// FIFO lanes (0 falls back to kMaxFetchThreads; the cache cannot see the
+  /// backend fleet, so callers that can — CrawlService sizes one lane per
+  /// backend — should pass the real count; backend b rides lane
+  /// `b % lanes`); depth 0 deletes them. Drains any active pipeline first.
+  /// Call between rounds only.
   void SetPipelineDepth(size_t depth, size_t lanes = 0);
   size_t pipeline_depth() const { return pipeline_depth_; }
 
-  /// True iff PipelinedFetch/PostPrefetchHints are live.
-  bool PipelineActive() const {
-    return pipeline_depth_ > 0 && channels_ != nullptr;
-  }
+  /// True iff PipelinedFetch/PostPrefetchHints are live: the lanes exist
+  /// exactly while the depth is non-zero.
+  bool PipelineActive() const { return channels_ != nullptr; }
 
   /// Pipelined replacement for the coordinator's frontier FetchBatch
   /// (CrawlScheduler only): plans the whole frontier under the ledger lock
@@ -150,8 +135,8 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     return QueryRefMiss(v);
   }
   /// Thread-safe bulk fetch: claims every distinct uncached id without
-  /// blocking, fetches the claims in one group (sync, or through the lanes
-  /// when async), then admits ids another walker had in flight. Counts
+  /// blocking, fetches the claims in one sync group, then admits ids
+  /// another walker had in flight. Counts
   /// every id as one request and returns, per id, 1 iff it is cached
   /// afterwards.
   std::vector<uint8_t> FetchBatch(std::span<const NodeId> ids) override;
@@ -225,10 +210,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Stores a claimed fetch's outcome in the flag and wakes its waiters.
   void ResolveFetch(NodeId v, bool fetched);
 
-  /// (Re)builds the lane set for the current mode: lanes exist iff the
-  /// fetch mode is kAsync or the pipeline is enabled. Drains first.
-  void ConfigureLanes(size_t lanes);
-
   /// A wall-clock-only prefetch reservation: its lane task sleeps one
   /// RTT (or until cancelled) on the predicted backend's lane. Carries no
   /// ledger, cache, or cost effect — that is the whole determinism
@@ -242,20 +223,18 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   static void CancelTicket(PrefetchTicket& ticket);
 
-  /// The one lane fetch behind the async and pipelined engines: plans
-  /// `misses` (valid, distinct, uncached, claimed or coordinator-owned)
-  /// under the ledger lock, consumes matching prefetch tickets, and posts
-  /// each backend's apply task to its lane in plan order. `inline_wire`:
-  /// the caller pays the wire time on its own thread (concurrent walkers'
-  /// misses overlap, and a pipelined demand miss never queues behind the
-  /// lanes' speculative backlog) and the lane runs only the ledger math.
-  /// `join`: block until the lanes ran everything posted up to and
-  /// including these tasks (a lag-0 marker join that rethrows a task
-  /// error), so ledgers are current on return. Returns the per-miss
-  /// fetched flags, or std::nullopt when the wrapped session cannot plan
-  /// (callers fall back to the sync path).
+  /// The one lane fetch behind the pipelined engine: plans `misses`
+  /// (valid, distinct, uncached, claimed or coordinator-owned) under the
+  /// ledger lock, consumes matching prefetch tickets, and posts each
+  /// backend's apply task to its lane in plan order, without joining (the
+  /// lag-k join and DrainPipeline wait the tasks out). `inline_wire`: the
+  /// caller pays the wire time on its own thread (concurrent walkers'
+  /// misses overlap, and a demand miss never queues behind the lanes'
+  /// speculative backlog) and the lane runs only the ledger math. Returns
+  /// the per-miss fetched flags, or std::nullopt when the wrapped session
+  /// cannot plan (callers fall back to the sync path).
   std::optional<std::vector<uint8_t>> LaneFetch(std::span<const NodeId> misses,
-                                                bool inline_wire, bool join);
+                                                bool inline_wire);
 
   /// The sync miss path: fetches `misses` through the wrapped session's
   /// FetchBatch under the ledger lock, then pays their round trips outside
@@ -296,7 +275,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   CacheMetrics metrics_;
   obs::MetricsRegistry* registry_ = nullptr;
   obs::TraceLog* trace_ = nullptr;
-  FetchMode fetch_mode_ = FetchMode::kSync;
   // Serializes every touch of *base_. Every thread's miss writes it, so it
   // gets its own cache line.
   alignas(64) mutable SpinParkLock base_mutex_;
@@ -305,12 +283,15 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   alignas(64) std::atomic<uint32_t> claim_waiters_{0};
 
   // Lane engine state. channels_/pipeline_depth_ change only between
-  // rounds (SetFetchMode/SetPipelineDepth); tickets_ and round_marks_ are
-  // touched under base_mutex_ / by the coordinator respectively.
+  // rounds (SetPipelineDepth); tickets_ and hinted_ are touched under
+  // base_mutex_, round_marks_ by the coordinator.
   size_t pipeline_depth_ = 0;
   std::unique_ptr<SerialChannels> channels_;
   std::unordered_map<NodeId, std::shared_ptr<PrefetchTicket>> tickets_;
   std::deque<SerialChannels::Marker> round_marks_;
+  // PostPrefetchHints' first-appearance marks, indexed by node id; all
+  // false between calls, so a dedupe costs one bit test per prediction.
+  std::vector<bool> hinted_;
 };
 
 }  // namespace mto

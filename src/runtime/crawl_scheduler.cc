@@ -17,12 +17,18 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   if (!factory) {
     throw std::invalid_argument("CrawlScheduler: null walker factory");
   }
-  // The scheduler owns the execution shape (threads, stepping mode, fetch
-  // mode); when the session is the concurrent cache, configure its fetch
-  // path here so every construction site inherits the CrawlConfig choice.
+  // Lanes exist only under a live pipelined coalesced round: a free-run
+  // miss always takes the one sync route.
+  if (config.pipeline_depth > 0 && !config.coalesce_frontier) {
+    throw std::invalid_argument(
+        "CrawlScheduler: pipeline_depth requires coalesce_frontier");
+  }
+  // The scheduler owns the execution shape (threads, stepping mode,
+  // pipeline depth); when the session is the concurrent cache, configure
+  // its lanes here so every construction site inherits the CrawlConfig
+  // choice.
   cache_ = dynamic_cast<ConcurrentInterfaceCache*>(&interface);
   if (cache_ != nullptr) {
-    cache_->SetFetchMode(config.fetch_mode, config.fetch_threads);
     cache_->SetPipelineDepth(config.pipeline_depth, config.fetch_threads);
   }
   // Fork per-walker streams in index order: walker i's stream is a function

@@ -18,6 +18,10 @@ namespace mto {
 /// Inert: only CrawlConfig's no-op `schedule` field names it (see there).
 enum class ScheduleMode { kWalker, kBlock };
 
+/// Inert: only the no-op `fetch_mode` fields of CrawlConfig and
+/// ScenarioConfig name it (see CrawlConfig).
+enum class FetchMode { kSync };
+
 /// Configuration of a CrawlScheduler.
 struct CrawlConfig {
   /// Number of concurrent walkers (>= 1).
@@ -35,26 +39,19 @@ struct CrawlConfig {
   /// the winning mode when the crawl is CPU-bound. Trajectories are
   /// bit-identical either way.
   bool coalesce_frontier = false;
-  /// Miss-fetch execution mode, applied to the interface when it is a
-  /// ConcurrentInterfaceCache: kAsync runs each backend's round trips on
-  /// its own FIFO lane, so misses served by different backends overlap
-  /// (multi-backend sessions only; a single-backend session silently
-  /// behaves like kSync). Samples, costs, and per-backend ledgers are
-  /// bit-identical across modes — the fetch mode, like num_threads, is
-  /// pure execution shape (DESIGN.md §9).
-  FetchMode fetch_mode = FetchMode::kSync;
-  /// Lanes of the async and pipelined engines; 0 = auto (see
+  /// Lanes of the pipelined engine; 0 = auto (see
   /// ConcurrentInterfaceCache). Backend b rides lane `b % fetch_threads`.
   size_t fetch_threads = 0;
-  /// Pipelined rounds (coalesced stepping over a ConcurrentInterfaceCache
-  /// only; ignored otherwise): with depth k >= 1, up to k rounds of
+  /// Pipelined rounds (requires coalesce_frontier; the constructor rejects
+  /// depth >= 1 without it; ignored unless the interface is a
+  /// ConcurrentInterfaceCache): with depth k >= 1, up to k rounds of
   /// deferred per-backend latency work stay in flight behind the crawl on
   /// per-backend FIFO lanes, and each round ends with a speculative peek
   /// phase that prefetches up to k predicted targets per walker as
   /// wall-clock-only tickets. 0 (default) keeps the lock-step round shape.
-  /// Like fetch_mode and num_threads this is pure execution shape: samples,
-  /// trace, estimates, costs, and per-backend ledgers are bit-identical to
-  /// sync mode (DESIGN.md §10).
+  /// Like num_threads this is pure execution shape: samples, trace,
+  /// estimates, costs, and per-backend ledgers are bit-identical to depth
+  /// 0 (DESIGN.md §10).
   size_t pipeline_depth = 0;
   /// Walk-program label for per-program metric twins
   /// (scheduler.rounds{program=...} / scheduler.steps{program=...});
@@ -64,8 +61,10 @@ struct CrawlConfig {
   /// No-op fields, read by nothing. perfbench/perfbench.cc still assigns
   /// them, and that file changes only together with the benchmark; the
   /// benchmark's next revision drops those assignments, then these names.
-  /// Walker-major is the one execution order.
+  /// Walker-major is the one execution order, and a miss outside a
+  /// pipelined round is always fetched synchronously.
   ScheduleMode schedule = ScheduleMode::kWalker;
+  FetchMode fetch_mode = FetchMode::kSync;
   NodeId block_size = 0;
   size_t resident_blocks = 0;
   std::string spill_dir = {};

@@ -124,11 +124,12 @@ const char* BackendSelectionName(BackendSelection selection);
 ///  * **per-backend ledger application** — pacing, virtual clocks, stats —
 ///    behind one fine-grained mutex per backend, with no cross-backend
 ///    state, so ledgers of different backends can be applied concurrently.
-/// The sync path (`FetchMisses`) runs both halves inline; the async path
-/// (`PlanFetchMisses`) returns the second half as per-backend tasks for a
-/// concurrent executor. Because the two paths share the plan verbatim and
-/// a backend's ledger evolution depends only on its own op sequence, the
-/// async path's outcomes, costs, and ledgers are bit-identical to sync.
+/// The sync path (`FetchMisses`) runs both halves inline; the two-phase
+/// path (`PlanFetchMisses`) returns the second half as per-backend tasks
+/// for the pipelined lanes. Because the two paths share the plan verbatim
+/// and a backend's ledger evolution depends only on its own op sequence,
+/// the two-phase path's outcomes, costs, and ledgers are bit-identical to
+/// sync.
 ///
 /// Like the base class, routing is single-threaded: serialize query-path
 /// entry points externally (runtime/ConcurrentInterfaceCache does). Only
@@ -151,7 +152,7 @@ class BackendPool final : public RestrictedInterface {
   size_t num_backends() const { return configs_.size(); }
   const BackendConfig& backend_config(size_t b) const { return configs_[b]; }
   /// Copied under the backend's ledger mutex (safe against in-flight
-  /// async applies, though steady only at quiescence).
+  /// lane applies, though steady only at quiescence).
   BackendStats backend_stats(size_t b) const;
   std::vector<BackendStats> AllBackendStats() const;
   BackendSelection selection() const { return selection_; }
@@ -189,7 +190,7 @@ class BackendPool final : public RestrictedInterface {
   /// quiescent points (between rounds / at snapshot time).
   void PublishMetrics(obs::MetricsRegistry& registry) const;
 
-  /// The async fetch entry point (see RestrictedInterface): plans every
+  /// The two-phase fetch entry point (see RestrictedInterface): plans every
   /// miss on the calling thread and returns one deferred ledger/latency
   /// task per backend touched, in-plan-order within each backend.
   std::optional<DeferredFetch> PlanFetchMisses(
@@ -205,7 +206,8 @@ class BackendPool final : public RestrictedInterface {
  protected:
   /// The sync multi-backend fetch path: each miss runs the select →
   /// budget → fault-draw plan, and its ledger work (pace, latency,
-  /// backoff) is applied inline. Same plan/apply code as the async path.
+  /// backoff) is applied inline. Same plan/apply code as the two-phase
+  /// path.
   void FetchMisses(std::span<const NodeId> misses) override;
 
  private:

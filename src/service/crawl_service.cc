@@ -38,7 +38,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   crawl.num_walkers = config_.num_walkers;
   crawl.num_threads = config_.num_threads;
   crawl.coalesce_frontier = config_.coalesce_frontier;
-  crawl.fetch_mode = config_.fetch_mode;
   // Auto-size the lanes to the backend fleet: one lane per backend is
   // exactly the overlap the pool's sharded ledgers admit.
   crawl.fetch_threads = config_.fetch_threads != 0 ? config_.fetch_threads

@@ -53,13 +53,6 @@ Attribute ParseAttribute(const std::string& s) {
                               "\"");
 }
 
-FetchMode ParseFetchMode(const std::string& s) {
-  if (s == "sync") return FetchMode::kSync;
-  if (s == "async") return FetchMode::kAsync;
-  throw std::invalid_argument("ScenarioConfig: unknown fetch_mode \"" + s +
-                              "\"");
-}
-
 BackendSelection ParseSelection(const std::string& s) {
   if (s == "sharded") return BackendSelection::kSharded;
   if (s == "rendezvous") return BackendSelection::kRendezvous;
@@ -132,10 +125,9 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
             {"dataset", "seed", "program", "mto", "attribute",
              "jump_probability", "walkers", "threads", "coalesce_frontier",
-             "fetch_mode", "fetch_threads", "pipeline_depth", "geweke",
-             "max_burn_in_rounds", "num_samples", "thinning", "total_budget",
-             "backends", "routing", "retry", "fault_seed", "checkpoint",
-             "observability"});
+             "fetch_threads", "pipeline_depth", "geweke", "max_burn_in_rounds",
+             "num_samples", "thinning", "total_budget", "backends", "routing",
+             "retry", "fault_seed", "checkpoint", "observability"});
   ScenarioConfig config;
   if (root.Has("dataset")) config.dataset = root.At("dataset").AsString();
   if (root.Has("seed")) config.seed = root.At("seed").AsUint();
@@ -227,9 +219,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   if (root.Has("threads")) config.num_threads = root.At("threads").AsUint();
   if (root.Has("coalesce_frontier")) {
     config.coalesce_frontier = root.At("coalesce_frontier").AsBool();
-  }
-  if (root.Has("fetch_mode")) {
-    config.fetch_mode = ParseFetchMode(root.At("fetch_mode").AsString());
   }
   if (root.Has("fetch_threads")) {
     config.fetch_threads = root.At("fetch_threads").AsUint();
@@ -361,6 +350,10 @@ void ScenarioConfig::Validate() const {
   if (num_samples == 0) {
     throw std::invalid_argument("ScenarioConfig: num_samples must be >= 1");
   }
+  if (pipeline_depth > 0 && !coalesce_frontier) {
+    throw std::invalid_argument(
+        "ScenarioConfig: pipeline_depth requires coalesce_frontier");
+  }
   if (jump_probability < 0.0 || jump_probability > 1.0) {
     throw std::invalid_argument(
         "ScenarioConfig: jump_probability must be in [0, 1]");
@@ -473,11 +466,10 @@ uint64_t ScenarioConfig::Fingerprint() const {
     fnv.Mix(backend.quota_rate);
     fnv.Mix(backend.timeout_us);
   }
-  // num_threads, coalesce_frontier, fetch_mode, fetch_threads, and
-  // pipeline_depth are deliberately excluded: results are bit-identical
-  // across them (the runtime contract), so a checkpoint from a 1-thread
-  // sync run may resume on 8 threads with pipelined async fetches, and
-  // vice versa. The observability block is excluded for the
+  // num_threads, coalesce_frontier, fetch_threads, and pipeline_depth are
+  // deliberately excluded: results are bit-identical across them (the
+  // runtime contract), so a checkpoint from a 1-thread free-run may resume
+  // on 8 threads with pipelined coalesced rounds, and vice versa. The observability block is excluded for the
   // same reason — telemetry is strictly passive (no RNG draws, no queries,
   // no session-state mutation), so a run may be resumed with observability
   // toggled either way. The routing strategy is

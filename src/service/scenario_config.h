@@ -75,7 +75,7 @@ struct ObservabilityConfig {
 ///   "program": {"name": "srw"},
 ///   "attribute": "degree",
 ///   "walkers": 16, "threads": 4, "coalesce_frontier": false,
-///   "fetch_mode": "async", "fetch_threads": 0, "pipeline_depth": 0,
+///   "fetch_threads": 0, "pipeline_depth": 0,
 ///   "geweke": {"threshold": 0.1, "min_length": 200, "check_every": 50},
 ///   "max_burn_in_rounds": 2000,
 ///   "num_samples": 200, "thinning": 25,
@@ -123,21 +123,20 @@ struct ScenarioConfig {
   size_t num_walkers = 8;
   size_t num_threads = 1;
   bool coalesce_frontier = false;
-  /// Miss-fetch execution: "sync" serializes backend fetches under the
-  /// session ledger lock; "async" plans them there but overlaps the
-  /// round-trip work of distinct backends on per-backend lanes. Results
-  /// are bit-identical across modes (fetch_equivalence_test pins this), so
-  /// like num_threads it is excluded from the checkpoint fingerprint.
+  /// No-op, read by nothing and not a JSON key (`"fetch_mode"` is an
+  /// unknown-key error): perfbench/perfbench.cc still copies it into
+  /// CrawlConfig, and that file changes only together with the benchmark.
   FetchMode fetch_mode = FetchMode::kSync;
-  /// Lanes of the async and pipelined fetch engines; 0 = one per backend
-  /// (capped by the runtime). Backend b rides lane `b % fetch_threads`.
+  /// Lanes of the pipelined fetch engine; 0 = one per backend (capped by
+  /// the runtime). Backend b rides lane `b % fetch_threads`.
   size_t fetch_threads = 0;
-  /// Pipelined rounds (coalesced stepping only): with depth k >= 1, up to
-  /// k rounds of deferred backend latency stay in flight behind the crawl
-  /// and each round prefetches up to k predicted targets per walker as
-  /// wall-clock-only tickets. Pure execution shape like fetch_mode —
-  /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
-  /// and the knob is excluded from the checkpoint fingerprint.
+  /// Pipelined rounds (requires coalesce_frontier; Validate rejects depth
+  /// >= 1 without it): with depth k >= 1, up to k rounds of deferred
+  /// backend latency stay in flight behind the crawl and each round
+  /// prefetches up to k predicted targets per walker as wall-clock-only
+  /// tickets. Pure execution shape like num_threads — results are
+  /// bit-identical to 0 (pipeline_equivalence_test pins this) and the knob
+  /// is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;
 
   double geweke_threshold = 0.1;

@@ -17,8 +17,7 @@
 namespace mto {
 
 /// A fixed set of single-worker FIFO lanes ("channels"), one per backend
-/// connection in the lane fetch engine behind async and pipelined fetches
-/// (DESIGN.md §9, §10).
+/// connection in the pipelined fetch engine (DESIGN.md §9, §10).
 ///
 /// Each channel runs its tasks strictly in post order on its own dedicated
 /// worker, so tasks posted to the *same* channel serialize (one backend
@@ -28,8 +27,7 @@ namespace mto {
 /// per-channel posted counts, and `WaitUntil(marker)` blocks until every
 /// channel has completed at least that much. This is exactly what a lag-k
 /// pipeline needs: the poster keeps going and only ever waits on a
-/// *bounded-age* marker. A poster that must wait for its own tasks only
-/// (the async engine) has them signal their own completion.
+/// *bounded-age* marker, or drains every channel at a quiescent point.
 ///
 /// `Post` is safe from any thread, including threads inside a ThreadPool
 /// region. The first exception a task throws is captured and rethrown from

@@ -396,7 +396,7 @@ TEST(ConcurrentInterfaceCacheTest, ResetClearsWrapperAndBase) {
 
 /// A plannable session with one backend per node parity: every miss is
 /// fetched, its apply task runs on lane `v % 2`, and node 0's apply task
-/// throws — the failure an async caller must see.
+/// throws — the failure the pipeline's drain must surface.
 class TwoLanePlanner final : public RestrictedInterface {
  public:
   using RestrictedInterface::RestrictedInterface;
@@ -418,39 +418,42 @@ class TwoLanePlanner final : public RestrictedInterface {
   }
 };
 
-TEST(ConcurrentInterfaceCacheTest, AsyncLanesOverlapDistinctBackends) {
-  // Two backends on two lanes: a frontier with one trip on each costs
+TEST(ConcurrentInterfaceCacheTest, PipelinedLanesOverlapDistinctBackends) {
+  // Two backends on two lanes: a frontier with one trip on each drains in
   // about one round trip of wall time, not two.
   SocialNetwork net(Cycle(8));
   TwoLanePlanner base(net);
   base.SetSimulatedLatency(std::chrono::milliseconds(100));
   ConcurrentInterfaceCache cache(base);
-  cache.SetFetchMode(FetchMode::kAsync, 2);
+  cache.SetPipelineDepth(1, 2);
   const NodeId frontier[] = {2, 3};
   const auto start = std::chrono::steady_clock::now();
-  const auto results = cache.BatchQuery(frontier);
+  cache.PipelinedFetch(frontier);
+  cache.DrainPipeline();
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_TRUE(results[1].has_value());
+  EXPECT_TRUE(cache.IsCached(2));
+  EXPECT_TRUE(cache.IsCached(3));
   EXPECT_LT(elapsed, std::chrono::milliseconds(190));
   EXPECT_GE(elapsed, std::chrono::milliseconds(100));
 }
 
-TEST(ConcurrentInterfaceCacheTest, AsyncApplyErrorSurfacesAtTheJoin) {
+TEST(ConcurrentInterfaceCacheTest, PipelinedApplyErrorSurfacesAtTheDrain) {
   SocialNetwork net(Cycle(8));
   TwoLanePlanner base(net);
   ConcurrentInterfaceCache cache(base);
-  cache.SetFetchMode(FetchMode::kAsync, 2);
+  cache.SetPipelineDepth(1, 2);
   // Node 0's task throws on lane 0; node 1's task on lane 1 still runs.
   const NodeId bad[] = {0, 1};
-  EXPECT_THROW(cache.BatchQuery(bad), std::runtime_error);
-  // The join consumed the error: the next fetches on the same lanes
-  // succeed.
+  cache.PipelinedFetch(bad);
+  EXPECT_THROW(cache.DrainPipeline(), std::runtime_error);
+  // The drain consumed the error: the next fetches on the same lanes
+  // succeed, the frontier's and a commit-time miss's alike.
   const NodeId good[] = {2, 3};
-  const auto results = cache.BatchQuery(good);
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_TRUE(results[1].has_value());
+  cache.PipelinedFetch(good);
   EXPECT_TRUE(cache.Query(4).has_value());
+  EXPECT_NO_THROW(cache.DrainPipeline());
+  EXPECT_TRUE(cache.IsCached(2));
+  EXPECT_TRUE(cache.IsCached(3));
 }
 
 TEST(ConcurrentInterfaceCacheTest, InactivePipelineFetchCountsNothing) {

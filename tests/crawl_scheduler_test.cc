@@ -430,5 +430,31 @@ TEST(CrawlSchedulerTest, RejectsInvalidConfigs) {
       std::invalid_argument);
 }
 
+TEST(CrawlSchedulerTest, PipelineDepthRequiresCoalescedRounds) {
+  // Lanes exist only under pipelined coalesced rounds, so a free-run
+  // scheduler with a depth is rejected before it touches the cache: the
+  // cache keeps no lanes, and its misses keep their one sync route.
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  CrawlConfig free_run{2, 1, /*coalesce_frontier=*/false};
+  free_run.pipeline_depth = 1;
+  try {
+    CrawlScheduler scheduler(cache, free_run, kSeed, SrwFactory);
+    ADD_FAILURE() << "free-run scheduler accepted a pipeline depth";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("coalesce_frontier"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(cache.PipelineActive());
+  CrawlConfig coalesced = free_run;
+  coalesced.coalesce_frontier = true;
+  CrawlScheduler scheduler(cache, coalesced, kSeed, SrwFactory);
+  EXPECT_TRUE(cache.PipelineActive());
+  scheduler.RunRounds(5);
+  EXPECT_EQ(scheduler.total_steps(), 10u);
+}
+
 }  // namespace
 }  // namespace mto

@@ -127,7 +127,6 @@ TEST(MtoAblationConfigTest, EveryKnobLandsInTheFingerprint) {
   // Execution-shape knobs stay excluded: same experiment, different engine.
   ScenarioConfig shape = base;
   shape.num_threads = 8;
-  shape.fetch_mode = FetchMode::kAsync;
   shape.pipeline_depth = 2;
   shape.coalesce_frontier = true;
   EXPECT_EQ(shape.Fingerprint(), reference);

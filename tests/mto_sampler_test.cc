@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "src/estimate/sampling_distribution.h"
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
@@ -194,6 +198,44 @@ TEST(MtoSamplerTest, SpeculativeProtocolDeclaredAndPeekConsumesNoDraws) {
   // The proposal is exactly the pick the step opens with: with rewiring
   // disabled mid-run it is also where the walk lands.
   EXPECT_TRUE(mto.overlay().HasEdge(mto.current(), *proposal));
+}
+
+TEST(MtoSamplerTest, PeekStopsOnceEveryOverlayNeighborIsFound) {
+  // The peek width is the pipeline depth, which nothing bounds. A peek
+  // draws up to `width` picks and keeps the distinct ones, so once every
+  // overlay neighbor is in no further draw can add a hint: a huge width
+  // must return at once, with exactly the hints of the smallest width
+  // whose draws already find every neighbor.
+  SocialNetwork net(Barbell(6));
+  RestrictedInterface iface(net);
+  Rng rng(21);
+  MtoSampler mto(iface, rng, 0);
+  mto.Step();  // register the current position
+  const NeighborView view = mto.overlay().Neighbors(mto.current());
+  std::vector<NodeId> neighbors(view.begin(), view.end());
+  const size_t degree = neighbors.size();
+  ASSERT_GE(degree, 2u);
+  const auto state_before = rng.SaveState();
+  std::vector<NodeId> huge;
+  mto.PeekNextTargets(std::numeric_limits<size_t>::max(), huge);
+  EXPECT_EQ(rng.SaveState(), state_before);  // peeked, not consumed
+  std::vector<NodeId> found = huge;
+  std::sort(found.begin(), found.end());
+  std::sort(neighbors.begin(), neighbors.end());
+  EXPECT_EQ(found, neighbors);  // every neighbor, each once
+  // Width = degree draws `degree` picks of the same sequence, so its hints
+  // are a prefix of the huge peek's (fewer when a pick repeats).
+  std::vector<NodeId> at_degree;
+  mto.PeekNextTargets(degree, at_degree);
+  ASSERT_LE(at_degree.size(), huge.size());
+  EXPECT_TRUE(std::equal(at_degree.begin(), at_degree.end(), huge.begin()));
+  std::vector<NodeId> finite = at_degree;
+  for (size_t width = degree + 1; finite.size() < degree; ++width) {
+    finite.clear();
+    mto.PeekNextTargets(width, finite);
+  }
+  EXPECT_EQ(finite, huge);
+  EXPECT_EQ(rng.SaveState(), state_before);
 }
 
 TEST(MtoSamplerTest, ProposeCommitTrajectoryMatchesPlainStepping) {

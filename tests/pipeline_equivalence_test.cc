@@ -1,17 +1,20 @@
-// Pipelined/sync equivalence — the pipelining tentpole's headline invariant
-// (DESIGN.md §10): `pipeline_depth`, like `fetch_mode` and `num_threads`,
-// is pure execution shape. For every stepping mode, thread count, depth,
+// Pipelined/sync equivalence — the lane engine's headline invariant
+// (DESIGN.md §9, §10): `pipeline_depth`, like `num_threads`, is pure
+// execution shape. For every coalesced stepping mode, thread count, depth,
 // and fault setting, a pipelined crawl must produce bit-identical samples,
 // trace, estimates, costs, and per-backend ledgers to the depth-0 sync
 // crawl: the pipelined engine executes the same plan in the same coordinator
 // order — prefetch tickets are wall-clock-only, stale tickets are cancelled
-// at a deterministic point, and only the latency *payment* is deferred onto
-// the per-backend channels.
+// at a deterministic point, and only the ledger/latency work is deferred
+// onto the per-backend lanes. (A free-run crawl cannot be pipelined: its
+// misses take the one sync route.)
 //
-// Pacing stays off in the sweep scenario for the same reason as in
-// fetch_equivalence_test: pacing fields are arrival-order dependent under
-// multi-threaded stepping in every mode (see DESIGN.md §9 and the pinned
-// counterexample there).
+// Ledger caveat, pinned precisely: with token-bucket pacing enabled the
+// pacing fields (bucket level, clocks, waits) depend on per-backend arrival
+// order, which multi-threaded stepping does not fix in any engine (the
+// counterexample is FetchEquivalenceTest.PacingIsArrivalOrderDependent) — so
+// the sweep runs with pacing off; fetch_equivalence_test compares pacing
+// ledgers 1-thread only, and shared lanes.
 
 #include <gtest/gtest.h>
 
@@ -22,15 +25,13 @@
 #include <vector>
 
 #include "src/service/crawl_service.h"
+#include "tests/fetch_test_helpers.h"
 
 namespace mto {
 namespace {
 
-enum class Stepping { kPlain, kCoalesced, kSpeculative };
-
 const char* SteppingName(Stepping stepping) {
   switch (stepping) {
-    case Stepping::kPlain: return "plain";
     case Stepping::kCoalesced: return "coalesced";
     case Stepping::kSpeculative: return "speculative";
   }
@@ -49,95 +50,6 @@ std::string SweepName(const testing::TestParamInfo<Sweep>& info) {
          std::to_string(info.param.threads) + "threads_depth" +
          std::to_string(info.param.depth) + "_" +
          (info.param.faults ? "faults" : "clean");
-}
-
-/// Three-backend scenario, pacing off (see file comment). Identical to the
-/// fetch_equivalence_test scenario so the two suites pin the same crawl.
-ScenarioConfig BaseScenario(size_t threads, Stepping stepping, bool faults) {
-  ScenarioConfig config;
-  config.dataset = "epinions_small";
-  config.seed = 0x5EED5;
-  config.num_walkers = 8;
-  config.num_threads = threads;
-  config.coalesce_frontier = stepping != Stepping::kPlain;
-  config.program.name = stepping == Stepping::kSpeculative ? "mto" : "srw";
-  config.geweke_check_every = 20;
-  config.geweke_min_length = 40;
-  config.max_burn_in_rounds = 120;
-  config.num_samples = 16;
-  config.thinning = 3;
-  config.fault_seed = 0xFA17;
-  config.retry.max_attempts_per_backend = 10;
-  config.backends.resize(3);
-  config.backends[0].latency_mean_us = 150;
-  config.backends[0].latency_sigma = 0.4;
-  config.backends[1].latency_mean_us = 80;
-  config.backends[2].latency_mean_us = 200;
-  if (faults) {
-    config.backends[0].error_rate = 0.2;
-    config.backends[1].timeout_rate = 0.1;
-    config.backends[2].quota_rate = 0.15;
-  }
-  return config;
-}
-
-void ExpectResultsBitIdentical(const ServiceResult& sync,
-                               const ServiceResult& pipelined) {
-  EXPECT_EQ(sync.samples, pipelined.samples);
-  ASSERT_EQ(sync.trace.size(), pipelined.trace.size());
-  for (size_t i = 0; i < sync.trace.size(); ++i) {
-    EXPECT_EQ(sync.trace[i].query_cost, pipelined.trace[i].query_cost)
-        << "trace " << i;
-    EXPECT_EQ(sync.trace[i].estimate, pipelined.trace[i].estimate)
-        << "trace " << i;
-  }
-  EXPECT_EQ(sync.final_estimate, pipelined.final_estimate);  // bitwise
-  EXPECT_EQ(sync.burn_in_converged, pipelined.burn_in_converged);
-  EXPECT_EQ(sync.burn_in_rounds, pipelined.burn_in_rounds);
-  EXPECT_EQ(sync.burn_in_query_cost, pipelined.burn_in_query_cost);
-  EXPECT_EQ(sync.total_rounds, pipelined.total_rounds);
-  EXPECT_EQ(sync.total_steps, pipelined.total_steps);
-  EXPECT_EQ(sync.total_query_cost, pipelined.total_query_cost);
-  EXPECT_EQ(sync.backend_requests, pipelined.backend_requests);
-  EXPECT_EQ(sync.failed_fetches, pipelined.failed_fetches);
-  EXPECT_EQ(sync.simulated_time_us, pipelined.simulated_time_us);
-}
-
-void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& sync,
-                               const BackendPool::PoolSnapshot& pipelined) {
-  EXPECT_EQ(sync.failed_fetches, pipelined.failed_fetches);
-  ASSERT_EQ(sync.ledgers.size(), pipelined.ledgers.size());
-  for (size_t b = 0; b < sync.ledgers.size(); ++b) {
-    SCOPED_TRACE("backend " + std::to_string(b));
-    const BackendLedger& s = sync.ledgers[b];
-    const BackendLedger& p = pipelined.ledgers[b];
-    EXPECT_EQ(s.stats.unique_queries, p.stats.unique_queries);
-    EXPECT_EQ(s.stats.requests, p.stats.requests);
-    EXPECT_EQ(s.stats.failed_requests, p.stats.failed_requests);
-    EXPECT_EQ(s.stats.timeouts, p.stats.timeouts);
-    EXPECT_EQ(s.stats.transient_errors, p.stats.transient_errors);
-    EXPECT_EQ(s.stats.quota_rejections, p.stats.quota_rejections);
-    EXPECT_EQ(s.stats.budget_refusals, p.stats.budget_refusals);
-    EXPECT_EQ(s.stats.pacing_waits, p.stats.pacing_waits);
-    EXPECT_EQ(s.stats.simulated_us, p.stats.simulated_us);
-    EXPECT_EQ(s.clock_us, p.clock_us);
-    EXPECT_EQ(s.bucket_tokens, p.bucket_tokens);  // bitwise double
-    EXPECT_EQ(s.last_refill_us, p.last_refill_us);
-  }
-}
-
-struct RunOutput {
-  ServiceResult result;
-  BackendPool::PoolSnapshot ledgers;
-};
-
-RunOutput RunWithDepth(ScenarioConfig config, size_t depth) {
-  config.pipeline_depth = depth;
-  CrawlService service(config);
-  RunOutput out;
-  out.result = service.Run();
-  out.ledgers = service.pool().SnapshotBackends();
-  return out;
 }
 
 /// Depth-0 sync baselines, computed once per (threads, stepping, faults):
@@ -168,8 +80,7 @@ TEST_P(PipelineEquivalenceTest, PipelinedIsBitIdenticalToSync) {
 std::vector<Sweep> AllSweeps() {
   std::vector<Sweep> sweeps;
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (Stepping stepping :
-         {Stepping::kPlain, Stepping::kCoalesced, Stepping::kSpeculative}) {
+    for (Stepping stepping : {Stepping::kCoalesced, Stepping::kSpeculative}) {
       for (size_t depth : {size_t{0}, size_t{1}, size_t{2}}) {
         for (bool faults : {false, true}) {
           sweeps.push_back({threads, stepping, depth, faults});
@@ -198,9 +109,9 @@ TEST(PipelineEquivalenceExtrasTest, RendezvousPipelinedMatchesRendezvousSync) {
 TEST(PipelineEquivalenceExtrasTest, ObservedPipelinedMatchesUnobservedSync) {
   // Passivity under the deepest execution shape: a depth-2 pipelined crawl
   // with full observability (metrics, lane-depth gauges, tracing, periodic
-  // snapshots, run report) is bit-identical to the unobserved depth-0 sync
-  // baseline — telemetry on the lanes and in the prefetcher perturbs
-  // nothing (DESIGN.md §11).
+  // snapshots, run report, live exporter) is bit-identical to the
+  // unobserved depth-0 sync baseline — telemetry on the lanes and in the
+  // prefetcher perturbs nothing (DESIGN.md §11).
   ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
   const RunOutput sync = RunWithDepth(config, 0);
   ScenarioConfig observed_config = config;
@@ -210,16 +121,23 @@ TEST(PipelineEquivalenceExtrasTest, ObservedPipelinedMatchesUnobservedSync) {
   observed_config.observability.http_port = 0;  // live exporter on too
   const std::string trace_path =
       testing::TempDir() + "/pipeline_equivalence_obs.trace.json";
+  const std::string report_path =
+      testing::TempDir() + "/pipeline_equivalence_obs.report.json";
   observed_config.observability.trace_path = trace_path;
+  observed_config.observability.report_path = report_path;
   CrawlService observed(observed_config);
   RunOutput out;
   out.result = observed.Run();
   out.ledgers = observed.pool().SnapshotBackends();
   ExpectResultsBitIdentical(sync.result, out.result);
   ExpectLedgersBitIdentical(sync.ledgers, out.ledgers);
+  // Telemetry actually materialized: snapshots were taken and both output
+  // files exist and parse as JSON.
   EXPECT_FALSE(observed.snapshots().empty());
   EXPECT_NO_THROW(ParseJsonFile(trace_path));
+  EXPECT_NO_THROW(ParseJsonFile(report_path));
   std::remove(trace_path.c_str());
+  std::remove(report_path.c_str());
 }
 
 TEST(PipelineEquivalenceExtrasTest, PipelinedResumesSyncCheckpointBitIdentically) {

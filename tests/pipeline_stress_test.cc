@@ -13,63 +13,34 @@
 #include <vector>
 
 #include "src/graph/generators.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/concurrent_interface_cache.h"
 #include "src/service/backend_pool.h"
 #include "src/service/crawl_service.h"
+#include "tests/fetch_test_helpers.h"
 
 namespace mto {
 namespace {
 
-constexpr uint64_t kFaultSeed = 0xFA57;
-
-std::vector<BackendConfig> FaultyBackends(size_t n,
-                                          std::optional<uint64_t> budget) {
-  std::vector<BackendConfig> backends(n);
-  for (size_t b = 0; b < n; ++b) {
-    backends[b].budget = budget;
-    backends[b].error_rate = 0.15;
-    backends[b].timeout_rate = 0.05;
-    backends[b].quota_rate = 0.05;
-    backends[b].latency_mean_us = 50;
-    backends[b].latency_sigma = 0.3;
-  }
-  return backends;
-}
-
-/// Per-backend conservation: every request either succeeded (one unique
-/// query) or failed with exactly one recorded fault kind; budgets are never
-/// overdrawn; and pool-wide, every unique query was paid by exactly one
-/// backend — a prefetch ticket that charged anything, or a consumed ticket
-/// that skipped a charge, breaks one of these sums.
-void ExpectBackendConservation(const BackendPool& pool) {
-  uint64_t unique_total = 0;
-  for (size_t b = 0; b < pool.num_backends(); ++b) {
-    SCOPED_TRACE("backend " + std::to_string(b));
-    const BackendStats stats = pool.backend_stats(b);
-    EXPECT_EQ(stats.requests, stats.unique_queries + stats.failed_requests);
-    EXPECT_EQ(stats.failed_requests,
-              stats.timeouts + stats.transient_errors + stats.quota_rejections);
-    if (pool.backend_config(b).budget) {
-      EXPECT_LE(stats.unique_queries, *pool.backend_config(b).budget);
-    }
-    unique_total += stats.unique_queries;
-  }
-  EXPECT_EQ(unique_total, pool.QueryCost());
-}
-
 TEST(PipelineStressTest, PrefetchHintsAloneChargeNothing) {
   // The determinism argument in one test: tickets are wall-clock only.
   // Posting hints — valid, duplicate, and out-of-range — then draining must
-  // leave every counter at zero and every node uncached.
+  // leave every counter at zero and every node uncached. A node predicted
+  // several times gets one ticket.
   SocialNetwork net(Grid(24, 24));
   BackendPool pool(net, FaultyBackends(3, std::nullopt), RetryPolicy{},
                    BackendSelection::kRendezvous, kFaultSeed);
   ConcurrentInterfaceCache session(pool);
   session.SetPipelineDepth(2, 3);
+  obs::MetricsRegistry registry;
+  session.SetObservability(&registry, nullptr);
   const NodeId n = session.num_users();
-  std::vector<NodeId> hints = {1, 2, 3, 2, 1, n, n + 17, 42};
+  std::vector<NodeId> hints = {1, 2, 3, 2, 1, n, n + 17, 42, 3, 42, 1};
   session.PostPrefetchHints(hints);
+  EXPECT_EQ(registry.CounterValue("prefetch.issued"), 4u);  // 1, 2, 3, 42
   session.PostPrefetchHints(hints);  // re-post: cancels + re-creates
+  EXPECT_EQ(registry.CounterValue("prefetch.issued"), 8u);
+  EXPECT_EQ(registry.CounterValue("prefetch.stale_cancelled"), 4u);
   session.DrainPipeline();
   EXPECT_EQ(session.QueryCost(), 0u);
   EXPECT_EQ(session.BackendRequests(), 0u);
@@ -200,9 +171,11 @@ TEST(PipelineStressTest, InvalidationStormMatchesSyncTwinExactly) {
 TEST(PipelineStressTest, PipelinedCrawlUnderFaultsAndTightBudgetsConserves) {
   // Full service crawl with everything hostile at once: speculative MTO
   // stepping, four threads, depth-2 pipelining, rendezvous routing, fault
-  // injection, and per-backend budgets tight enough to exhaust mid-crawl
-  // (which voids bit-equality — the documented caveat — but must never
-  // break conservation or overdraw a key).
+  // injection, and per-backend budgets (a finite budget voids bit-equality
+  // — the documented caveat — but must never break conservation or
+  // overdraw a key). This short crawl stays under its budgets;
+  // FetchStressTest.PipelinedMtoCrawlUnderExhaustedBudgetsNeverOverdraws
+  // runs the keys dry.
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0x57E55;
@@ -224,35 +197,6 @@ TEST(PipelineStressTest, PipelinedCrawlUnderFaultsAndTightBudgetsConserves) {
   const ServiceResult result = service.Run();
   ExpectBackendConservation(service.pool());
   EXPECT_LE(service.pool().QueryCost(), 4 * 300u);
-  EXPECT_GT(result.total_steps, 0u);
-}
-
-TEST(PipelineStressTest, FreeRunPipelineUnderBudgetsConserves) {
-  // Plain (non-coalesced) stepping with a live pipeline: walker misses go
-  // through PipelinedQueryMiss concurrently from four threads. Budgets are
-  // tight and faults on — the single-miss channel join must neither lose
-  // nor double-charge a request.
-  ScenarioConfig config;
-  config.dataset = "epinions_small";
-  config.seed = 0xF4EE;
-  config.program.name = "srw";
-  config.num_walkers = 8;
-  config.num_threads = 4;
-  config.coalesce_frontier = false;
-  config.pipeline_depth = 2;
-  config.strategy = BackendSelection::kRendezvous;
-  config.geweke_check_every = 20;
-  config.geweke_min_length = 40;
-  config.max_burn_in_rounds = 100;
-  config.num_samples = 12;
-  config.thinning = 3;
-  config.fault_seed = 0xFA17;
-  config.retry.max_attempts_per_backend = 3;
-  config.backends = FaultyBackends(3, 400);
-  CrawlService service(config);
-  const ServiceResult result = service.Run();
-  ExpectBackendConservation(service.pool());
-  EXPECT_LE(service.pool().QueryCost(), 3 * 400u);
   EXPECT_GT(result.total_steps, 0u);
 }
 

@@ -108,13 +108,16 @@ TEST(ScenarioConfigTest, RemovedSelectorKeysAreUnknown) {
   // error naming them.
   // The block schedule is gone too: walker-major is the one order. The
   // estimator runs on the driver thread, so no queue between threads has
-  // a capacity to set.
+  // a capacity to set. And a miss outside a pipelined round is always
+  // fetched synchronously, so there is no fetch mode to pick.
   for (const char* doc : {R"({"sampler": "srw"})", R"({"strategy": "sharded"})",
                           R"({"sampler": "mto", "program": {"name": "mto"}})",
                           R"({"schedule": "walker"})",
                           R"({"schedule": "block"})",
                           R"({"block": {"size": 4096}})",
-                          R"({"queue_capacity": 16})"}) {
+                          R"({"queue_capacity": 16})",
+                          R"({"fetch_mode": "sync"})",
+                          R"({"fetch_mode": "async"})"}) {
     try {
       ScenarioConfig::FromJsonText(doc);
       ADD_FAILURE() << "accepted " << doc;
@@ -259,11 +262,10 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   b.num_threads = 1;
   b.coalesce_frontier = false;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  // Same for the whole execution-shape family: fetch mode, fetch worker
-  // count, and pipeline depth (pipeline_equivalence_test pins the bitwise
-  // equivalence these exclusions rely on)...
+  // Same for the whole execution-shape family: lane count and pipeline
+  // depth (pipeline_equivalence_test pins the bitwise equivalence these
+  // exclusions rely on)...
   b = a;
-  b.fetch_mode = FetchMode::kAsync;
   b.fetch_threads = 7;
   b.pipeline_depth = 2;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
@@ -316,9 +318,36 @@ TEST(ScenarioConfigTest, RoutingSelectsTheBackendPolicy) {
 
 TEST(ScenarioConfigTest, ParsesPipelineDepth) {
   EXPECT_EQ(ScenarioConfig::FromJsonText("{}").pipeline_depth, 0u);
-  EXPECT_EQ(
-      ScenarioConfig::FromJsonText(R"({"pipeline_depth": 3})").pipeline_depth,
-      3u);
+  EXPECT_EQ(ScenarioConfig::FromJsonText(
+                R"({"coalesce_frontier": true, "pipeline_depth": 3})")
+                .pipeline_depth,
+            3u);
+}
+
+TEST(ScenarioConfigTest, PipelineDepthRequiresCoalescing) {
+  // Lanes exist only under pipelined coalesced rounds; a free-run crawl
+  // has one (sync) miss route, so a depth there is a config error.
+  for (const char* doc :
+       {R"({"pipeline_depth": 1})",
+        R"({"coalesce_frontier": false, "pipeline_depth": 2})"}) {
+    SCOPED_TRACE(doc);
+    try {
+      ScenarioConfig::FromJsonText(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("coalesce_frontier"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(
+      ScenarioConfig::FromJsonText(R"({"coalesce_frontier": false})"));
+  // Validate guards programmatic configs too, before any service is built.
+  ScenarioConfig config;
+  config.pipeline_depth = 2;
+  EXPECT_THROW(config.Validate(), std::invalid_argument);
+  config.coalesce_frontier = true;
+  EXPECT_NO_THROW(config.Validate());
 }
 
 TEST(ScenarioConfigTest, FromFileRoundTrips) {

@@ -2,8 +2,8 @@
 // the programs that arrived through the WalkProgram registry (node2vec's
 // second-order walk, PageRank mass estimation) obey the exact determinism
 // contract the built-ins are pinned to. For each program, every execution
-// shape — thread count, stepping mode (plain / coalesced / pipelined),
-// fetch engine — must produce bit-identical samples, trace, estimates,
+// shape — thread count, stepping mode (plain / coalesced / pipelined) —
+// must produce bit-identical samples, trace, estimates,
 // costs, and per-backend ledgers to the 1-thread plain sync reference,
 // and a checkpoint taken under one engine must resume under any other to
 // the same bits. Second-order state (node2vec's (prev, cur) frontier) is
@@ -48,7 +48,7 @@ std::string SweepName(const testing::TestParamInfo<Sweep>& info) {
          std::to_string(info.param.threads) + "threads";
 }
 
-/// Three faulty backends, pacing off (see fetch_equivalence_test for why),
+/// Three faulty backends, pacing off (see pipeline_equivalence_test for why),
 /// budgets unlimited (a drained budget voids bit-identity by contract).
 /// Non-default program knobs so the sweep exercises the biased paths:
 /// node2vec runs return-biased and DFS-averse (p=0.5, q=2), pagerank
@@ -185,19 +185,6 @@ INSTANTIATE_TEST_SUITE_P(
                     Sweep{"pagerank", 8, Stepping::kPipelined}),
     SweepName);
 
-TEST(WalkProgramEquivalenceExtrasTest, AsyncFetchMatchesReference) {
-  // The third fetch engine: async miss-overlap under multi-threaded
-  // coalesced stepping, for both new programs.
-  for (const char* program : {"node2vec", "pagerank"}) {
-    SCOPED_TRACE(program);
-    ScenarioConfig config = BaseScenario(program, 4, Stepping::kCoalesced);
-    config.fetch_mode = FetchMode::kAsync;
-    const RunOutput got = RunScenario(config);
-    ExpectResultsBitIdentical(Reference(program).result, got.result);
-    ExpectLedgersBitIdentical(Reference(program).ledgers, got.ledgers);
-  }
-}
-
 TEST(WalkProgramEquivalenceExtrasTest, SeedIsTheOnlySourceOfVariation) {
   for (const char* program : {"node2vec", "pagerank"}) {
     SCOPED_TRACE(program);
@@ -223,13 +210,10 @@ TEST(WalkProgramEquivalenceExtrasTest, CheckpointResumesAcrossEveryEngine) {
   // reference. Execution shape is excluded from the fingerprint, so every
   // combination must load.
   struct Engine {
-    FetchMode fetch_mode;
     size_t pipeline_depth;
     const char* name;
   };
-  const Engine engines[] = {{FetchMode::kSync, 0, "sync"},
-                            {FetchMode::kAsync, 0, "async"},
-                            {FetchMode::kSync, 2, "pipelined"}};
+  const Engine engines[] = {{0, "sync"}, {2, "pipelined"}};
   for (const char* program : {"node2vec", "pagerank"}) {
     SCOPED_TRACE(program);
     const std::string path = testing::TempDir() + "/walk_program_" +
@@ -248,7 +232,6 @@ TEST(WalkProgramEquivalenceExtrasTest, CheckpointResumesAcrossEveryEngine) {
                      std::to_string(threads) + " threads");
         ScenarioConfig resumed_config =
             BaseScenario(program, threads, Stepping::kCoalesced);
-        resumed_config.fetch_mode = engine.fetch_mode;
         resumed_config.pipeline_depth = engine.pipeline_depth;
         CrawlService resumed(resumed_config);
         resumed.LoadCheckpoint(path);
